@@ -4,26 +4,25 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
-use std::time::Instant;
 
 use otr_core::{dataset_damage_columnar, RepairPlan};
 use otr_data::ColumnarDataset;
 use otr_fairness::ConditionalDependence;
 
 use crate::util::{
-    check, csv_bytes, median, metric, otrepair, path_str, run_measured, sample, write_csv, Ctx,
-    Latencies, Outcome, Result, Tracer,
+    median, metric, path_str, sample, sync, write_csv, Applies, Ctx, Outcome, Result, SetupRuns,
+    Tracer, SEGMENTS,
 };
 
 const RESEARCH_ROWS: usize = 500;
 const ARCHIVE_ROWS: usize = 1_000_000;
 const N_Q: &str = "50";
-/// `otrepair design` runs in set-up; `setup_s` is their median.
-const SETUP_REPS: usize = 21;
-/// Fewest timed applies, however short the window.
-const MIN_OPS: usize = 5;
+/// `otrepair design` runs per set-up batch; `setup_s` is the median of
+/// all batches. One takes about 5 ms, mostly process start, so it takes
+/// many for a steady median.
+const SETUP_BATCH: usize = 50;
 /// In-process pipeline repetitions of the traced run.
-const TRACE_REPS: u64 = 3;
+const TRACE_REPS: u64 = 5;
 /// Rows of the repaired output the fairness metric is evaluated on.
 const E_PREFIX_ROWS: usize = 100_000;
 
@@ -32,7 +31,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome> {
     let archive_csv = ctx.path("archive.csv");
     let plan_json = ctx.path("plan.json");
     let out_csv = ctx.path("repaired.csv");
-    let log = ctx.path("otrepair.log");
+    let expected_csv = ctx.path("expected.csv");
     write_csv(
         &research_csv,
         &ColumnarDataset::from_dataset(&sample(ctx.seed, 1, RESEARCH_ROWS)?),
@@ -41,6 +40,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome> {
         &archive_csv,
         &ColumnarDataset::from_dataset(&sample(ctx.seed, 2, ARCHIVE_ROWS)?),
     )?;
+    sync(&[&research_csv, &archive_csv])?;
     let apply_seed = ctx.seed.to_string();
     let design_args = [
         "design",
@@ -63,79 +63,51 @@ pub fn run(ctx: &Ctx) -> Result<Outcome> {
         &apply_seed,
     ];
 
-    // Set-up: design the scalar plan; every design must give the same bytes.
-    let mut setup = Vec::with_capacity(SETUP_REPS);
-    let mut plan_bytes: Option<Vec<u8>> = None;
-    for _ in 0..SETUP_REPS {
-        let done = run_measured(&mut otrepair(ctx, &design_args), &log)?;
-        check(done.ok, "otrepair design exited with an error")?;
-        setup.push(done.wall.as_secs_f64());
-        let bytes = std::fs::read(&plan_json)?;
-        if let Some(first) = &plan_bytes {
-            check(
-                first == &bytes,
-                "repeated designs wrote different plan bytes",
-            )?;
-        }
-        plan_bytes = Some(bytes);
-    }
-    let plan_text = String::from_utf8(plan_bytes.ok_or("no design ran")?)?;
+    // Set-up: design the scalar plan; every design must give the same
+    // bytes. The first batch runs here, one before each later segment.
+    let mut designs = SetupRuns::new(ctx, &design_args, &plan_json, "otrepair design");
+    designs.run(SETUP_BATCH)?;
 
-    // The reference: the same CSV, plan and seed, repaired in process.
-    let archive = read_columnar(&archive_csv)?;
-    let plan = RepairPlan::from_json(&plan_text)?;
-    let expected = csv_bytes(&plan.repair_columnar_par(&archive, ctx.seed)?)?;
-
-    // Warm-up apply (page cache, lazy set-up), checked like every other.
-    let warm = run_measured(&mut otrepair(ctx, &apply_args), &log)?;
-    check(warm.ok, "warm-up otrepair apply exited with an error")?;
-    check(
-        std::fs::read(&out_csv)? == expected,
-        "otrepair apply output differs from in-process repair_columnar_par",
+    // The reference: the same CSV, plan and seed, repaired in process and
+    // kept on disk, so the benchmark's RSS stays below the CLI's.
+    let plan = RepairPlan::from_json(&std::fs::read_to_string(&designs.first)?)?;
+    write_csv(
+        &expected_csv,
+        &plan.repair_columnar_par(&read_columnar(&archive_csv)?, ctx.seed)?,
     )?;
+    drop(plan);
+    sync(&[&expected_csv])?;
 
+    let mut applies = Applies::warm(ctx, &apply_args, &out_csv, &expected_csv, "otrepair apply")?;
+    for seg in 0..SEGMENTS {
+        if seg > 0 {
+            designs.run(SETUP_BATCH)?;
+        }
+        applies.run_for(ctx.segment())?;
+    }
+    // The replay follows the timed phase, on the same warm page cache.
     let tracer = if ctx.trace {
+        let plan_text = std::fs::read_to_string(&designs.first)?;
         Some(trace_layers(ctx, &plan_text, &archive_csv)?)
     } else {
         None
     };
-    drop(archive);
-    drop(plan);
 
-    // Timed phase: back-to-back applies; each output is checked after
-    // its wall time is taken.
-    let mut lat = Latencies::default();
-    let mut rss = Vec::new();
-    let t0 = Instant::now();
-    while t0.elapsed() < ctx.window() || lat.secs.len() < MIN_OPS {
-        let done = run_measured(&mut otrepair(ctx, &apply_args), &log)?;
-        if done.ok {
-            lat.ok(done.wall);
-            rss.push(done.peak_rss_mb);
-            check(
-                std::fs::read(&out_csv)? == expected,
-                "otrepair apply output differs from in-process repair_columnar_par",
-            )?;
-        } else {
-            lat.fail(ctx.window());
-        }
-    }
-    check(!rss.is_empty(), "no otrepair apply succeeded")?;
-
-    let rows = ARCHIVE_ROWS as f64;
-    let p50_s = lat.ms(0.5) / 1e3;
+    let lat = &applies.lat;
+    let rows_per_s = applies.rows_per_s(ARCHIVE_ROWS)?;
     let record = vec![
         metric("research_rows", RESEARCH_ROWS as f64, "rows"),
-        metric("archive_rows", rows, "rows"),
+        metric("archive_rows", ARCHIVE_ROWS as f64, "rows"),
         metric("ops", lat.attempted() as f64, "count"),
-        metric("apply_rows_per_s", rows / p50_s, "rows/s"),
+        metric("apply_rows_per_s", rows_per_s, "rows/s"),
+        metric("bench_rss_mb", applies.own_rss, "MB"),
     ];
     let metrics = match tracer {
         None => vec![
-            metric("setup_s", median(&setup), "s"),
-            metric("peak_rss_mb", median(&rss), "MB"),
+            metric("setup_s", median(&designs.secs), "s"),
+            metric("peak_rss_mb", applies.peak_rss_mb()?, "MB"),
             metric("success_rate", lat.success_rate(), "ratio"),
-            metric("rows_per_s", rows / p50_s, "rows/s"),
+            metric("rows_per_s", rows_per_s, "rows/s"),
             metric("p50_ms", lat.ms(0.5), "ms"),
             metric("p90_ms", lat.ms(0.9), "ms"),
         ],
@@ -154,7 +126,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome> {
                 .map(|l| metric(l, t.median_secs(l), "s"))
                 .collect();
             m.extend([
-                metric("apply.other_s", p50_s - traced, "s"),
+                metric("apply.other_s", lat.ms(0.5) / 1e3 - traced, "s"),
                 metric("fairness.e_eval_s", t.median_secs("fairness.e_eval_s"), "s"),
                 metric("fairness.e_after", e_after, "nats"),
             ]);
@@ -179,9 +151,10 @@ fn read_columnar(path: &Path) -> Result<ColumnarDataset> {
 /// returns the spans and the aggregate E of the repaired output's prefix.
 fn trace_layers(ctx: &Ctx, plan_text: &str, archive_csv: &Path) -> Result<(Tracer, f64)> {
     let mut t = Tracer::new();
-    let out_csv = ctx.path("traced.csv");
     let mut last = None;
     for op in 0..TRACE_REPS {
+        // A new file per replay, as the CLI writes in the timed phase.
+        let out_csv = ctx.path(&format!("traced{op}.csv"));
         let root = t.begin("apply", None, op);
         let data = t.time("data.csv_read_s", Some(root), op, || {
             read_columnar(archive_csv)

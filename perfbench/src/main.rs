@@ -151,7 +151,6 @@ fn run() -> Result<()> {
             "git_commit",
             &command_line("git", &["rev-parse", "HEAD"]).unwrap_or_else(|| "none".into()),
         ),
-        text("source_digest", &format!("{:016x}", source_digest()?)),
         ("inputs".into(), figures(&outcome.record)),
     ]);
     println!(
@@ -217,39 +216,6 @@ fn command_line(program: &str, args: &[&str]) -> Option<String> {
     out.status
         .success()
         .then(|| text.lines().next().unwrap_or("").to_string())
-}
-
-/// FNV-1a over the paths and bytes of the sources the binaries are built
-/// from, in path order — identifies the code under test where no git
-/// metadata exists.
-fn source_digest() -> Result<u64> {
-    let mut files = vec![PathBuf::from("Cargo.toml"), PathBuf::from("Cargo.lock")];
-    for dir in ["src", "crates", "vendor"] {
-        collect_files(Path::new(dir), &mut files)?;
-    }
-    files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in files {
-        let bytes = std::fs::read(&f)?;
-        for b in f.to_string_lossy().bytes().chain(bytes) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    Ok(h)
-}
-
-fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n != "target") {
-                collect_files(&path, out)?;
-            }
-        } else {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Removes the run's scratch directory however the run ends.

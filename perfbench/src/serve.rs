@@ -3,6 +3,7 @@
 //! at its default thread/shard policy. `serve-watch` arms a drift watch,
 //! shifts the archive by (3, 3), and serves the hot-swapped plan.
 
+use std::path::PathBuf;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,9 @@ use otr_data::{ColumnarDataset, Drift};
 use otr_serve::protocol::{Request, Response, HEADER_LEN};
 use otr_serve::{Client, PlanKind, RegisteredPlan, ServerInfo};
 
-use crate::util::{check, median, metric, sample, Ctx, Daemon, Latencies, Outcome, Result, Tracer};
+use crate::util::{
+    check, median, metric, sample, Ctx, Daemon, Latencies, Outcome, Result, Tracer, SEGMENTS,
+};
 
 const RESEARCH_ROWS: usize = 500;
 const REQUEST_ROWS: usize = 100_000;
@@ -20,8 +23,12 @@ const REQUEST_ROWS: usize = 100_000;
 const POOL: usize = 4;
 /// Closed-loop clients, one connection each; never more than `nproc`.
 const CLIENTS: usize = 2;
-/// Daemon start-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 9;
+/// Daemon start-ups per set-up batch; `setup_s` is the median of all
+/// batches. A plain start and `LoadPlan` takes about 5 ms, mostly process
+/// start, so it takes many for a steady median; a watched one streams to
+/// a hot swap first.
+const SETUP_BATCH: usize = 50;
+const WATCH_SETUP_BATCH: usize = 3;
 /// In-process request replays of the traced run.
 const TRACE_REPS: u64 = 5;
 /// Mean shift of the watched stream: far enough to trip the default
@@ -61,26 +68,28 @@ pub fn run(ctx: &Ctx, watch: bool) -> Result<Outcome> {
     }
 
     // Set-up: start the daemon, load the plan over the wire and, when
-    // watching, stream shifted traffic until exactly one hot swap.
-    let mut setup = Vec::with_capacity(SETUP_REPS);
-    let mut daemon = None;
-    let mut trip_requests = 0;
-    for rep in 0..SETUP_REPS {
-        drop(daemon.take());
-        let plans_dir = ctx.path(&format!("plans{rep}"));
-        std::fs::create_dir_all(&plans_dir)?;
-        let t0 = Instant::now();
-        let d = Daemon::start(ctx, &format!("otrepaird{rep}"), watch.then_some(&plans_dir))?;
-        let mut control = Client::connect(&d.addr)?;
-        control.load_plan(PlanKind::Scalar, PLAN, 1, &plan_json)?;
-        if watch {
-            control.watch(PLAN, &DriftConfig::default())?;
-            trip_requests = trip(&mut control, &pools[0], ctx.seed)?;
-        }
-        setup.push(t0.elapsed().as_secs_f64());
-        daemon = Some((d, plans_dir));
+    // watching, stream shifted traffic until exactly one hot swap. The
+    // first batch runs here and its last daemon serves the timed phase;
+    // one more batch runs before each later segment.
+    let batch = if watch {
+        WATCH_SETUP_BATCH
+    } else {
+        SETUP_BATCH
+    };
+    let mut setup = Vec::new();
+    let mut serving = None;
+    for _ in 0..batch {
+        drop(serving.take());
+        let s = SetUp::run(ctx, setup.len(), watch, &plan_json, &pools[0])?;
+        setup.push(s.secs);
+        serving = Some(s);
     }
-    let (daemon, plans_dir) = daemon.ok_or("no set-up ran")?;
+    let SetUp {
+        daemon,
+        plans_dir,
+        trip_requests,
+        ..
+    } = serving.ok_or("no set-up ran")?;
     let policy = Client::connect(&daemon.addr)?.info()?;
 
     // The offline reference: the plan the daemon serves, as an artifact.
@@ -135,7 +144,19 @@ pub fn run(ctx: &Ctx, watch: bool) -> Result<Outcome> {
     // settle; then the timed phase.
     let (warm, _) = closed_loop(ctx, &mut conns, &pools, &daemon.addr, WARMUP, 1);
     check(warm.failed == 0, "a warm-up request failed")?;
-    let (lat, wall) = closed_loop(ctx, &mut conns, &pools, &daemon.addr, ctx.window(), 1 << 24);
+    let mut lat = Latencies::default();
+    let mut wall = Duration::ZERO;
+    for seg in 0..SEGMENTS {
+        if seg > 0 {
+            for _ in 0..batch {
+                setup.push(SetUp::run(ctx, setup.len(), watch, &plan_json, &pools[0])?.secs);
+            }
+        }
+        let first = u64::from(seg + 1) << 24;
+        let (l, w) = closed_loop(ctx, &mut conns, &pools, &daemon.addr, ctx.segment(), first);
+        lat.extend(l);
+        wall += w;
+    }
     let after = Client::connect(&daemon.addr)?.info()?;
     let peak_rss = daemon.peak_rss_mb()?;
     drop(daemon);
@@ -225,6 +246,47 @@ pub fn run(ctx: &Ctx, watch: bool) -> Result<Outcome> {
     })
 }
 
+/// One daemon set up for serving.
+struct SetUp {
+    daemon: Daemon,
+    plans_dir: PathBuf,
+    trip_requests: u64,
+    /// Daemon start to plan loaded (and, when watching, swapped), in s.
+    secs: f64,
+}
+
+impl SetUp {
+    /// Start daemon number `rep`, load the plan over the wire and, when
+    /// watching, arm the watch and stream `pool` until one hot swap.
+    fn run(
+        ctx: &Ctx,
+        rep: usize,
+        watch: bool,
+        plan_json: &str,
+        pool: &[ColumnarDataset],
+    ) -> Result<Self> {
+        let plans_dir = ctx.path(&format!("plans{rep}"));
+        if watch {
+            std::fs::create_dir_all(&plans_dir)?;
+        }
+        let t0 = Instant::now();
+        let daemon = Daemon::start(ctx, &format!("otrepaird{rep}"), watch.then_some(&plans_dir))?;
+        let mut control = Client::connect(&daemon.addr)?;
+        control.load_plan(PlanKind::Scalar, PLAN, 1, plan_json)?;
+        let mut trip_requests = 0;
+        if watch {
+            control.watch(PLAN, &DriftConfig::default())?;
+            trip_requests = trip(&mut control, pool, ctx.seed)?;
+        }
+        Ok(Self {
+            daemon,
+            plans_dir,
+            trip_requests,
+            secs: t0.elapsed().as_secs_f64(),
+        })
+    }
+}
+
 /// Stream `pool` through the watched plan until the daemon reports one
 /// swap; returns the number of requests it took.
 fn trip(control: &mut Client, pool: &[ColumnarDataset], seed: u64) -> Result<u64> {
@@ -294,8 +356,7 @@ fn closed_loop(
     let wall = t0.elapsed();
     let mut all = Latencies::default();
     for l in per_client {
-        all.secs.extend(l.secs);
-        all.failed += l.failed;
+        all.extend(l);
     }
     (all, wall)
 }

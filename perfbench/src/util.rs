@@ -38,7 +38,18 @@ impl Ctx {
     pub fn window(&self) -> Duration {
         Duration::from_secs(self.seconds)
     }
+
+    /// One of the `SEGMENTS` equal parts of the timed phase.
+    pub fn segment(&self) -> Duration {
+        self.window() / SEGMENTS
+    }
 }
+
+/// The timed phase runs in this many equal segments, with a batch of
+/// set-up repetitions before each. Host CPU speed drifts over seconds, so
+/// set-up timed in one burst reads one moment of it; spread over the run,
+/// its median reads the whole run.
+pub const SEGMENTS: u32 = 3;
 
 /// One named figure with its unit.
 pub struct Metric {
@@ -112,6 +123,11 @@ impl Latencies {
         self.failed += 1;
     }
 
+    pub fn extend(&mut self, other: Latencies) {
+        self.secs.extend(other.secs);
+        self.failed += other.failed;
+    }
+
     pub fn attempted(&self) -> u64 {
         self.secs.len() as u64
     }
@@ -128,6 +144,176 @@ impl Latencies {
 // ---------------------------------------------------------------------
 // Child processes.
 
+/// Repeated set-up runs of `otrepair args`, which writes the file `out`.
+/// Every run must write the same bytes as the first, which is kept in
+/// `first`; `what` names the command in failures.
+pub struct SetupRuns<'a> {
+    ctx: &'a Ctx,
+    args: &'a [&'a str],
+    out: &'a Path,
+    what: &'a str,
+    pub first: PathBuf,
+    /// Wall time of each run, in seconds.
+    pub secs: Vec<f64>,
+}
+
+impl<'a> SetupRuns<'a> {
+    pub fn new(ctx: &'a Ctx, args: &'a [&'a str], out: &'a Path, what: &'a str) -> Self {
+        Self {
+            ctx,
+            args,
+            out,
+            what,
+            first: out.with_extension("first"),
+            secs: Vec::new(),
+        }
+    }
+
+    /// Run the command `n` more times.
+    pub fn run(&mut self, n: usize) -> Result<()> {
+        for _ in 0..n {
+            let done = otrepair(self.ctx, self.args, self.out)?;
+            check(done.ok, format!("{} exited with an error", self.what))?;
+            self.secs.push(done.wall.as_secs_f64());
+            if self.secs.len() == 1 {
+                std::fs::copy(self.out, &self.first)?;
+            } else {
+                check(
+                    same_bytes(self.out, &self.first)?,
+                    format!("repeated {} wrote different bytes", self.what),
+                )?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The timed runs of the file-to-file workloads: back-to-back runs of
+/// `otrepair args`, each of whose output file `out` must equal the file
+/// `expected`; `what` names the command in failures.
+pub struct Applies<'a> {
+    ctx: &'a Ctx,
+    args: &'a [&'a str],
+    out: &'a Path,
+    expected: &'a Path,
+    what: &'a str,
+    pub lat: Latencies,
+    /// Peak RSS of each successful run, in MB.
+    pub rss: Vec<f64>,
+    /// The benchmark's own largest RSS when it started a run, in MB.
+    pub own_rss: f64,
+    /// Summed wall time of the successful runs.
+    busy: Duration,
+}
+
+impl<'a> Applies<'a> {
+    /// Run the command once untimed (page cache, lazy set-up) and check
+    /// its output.
+    pub fn warm(
+        ctx: &'a Ctx,
+        args: &'a [&'a str],
+        out: &'a Path,
+        expected: &'a Path,
+        what: &'a str,
+    ) -> Result<Self> {
+        let mut applies = Self {
+            ctx,
+            args,
+            out,
+            expected,
+            what,
+            lat: Latencies::default(),
+            rss: Vec::new(),
+            own_rss: 0.0,
+            busy: Duration::ZERO,
+        };
+        let warm = applies.run_once()?;
+        check(warm.ok, format!("warm-up {what} exited with an error"))?;
+        applies.check_output()?;
+        Ok(applies)
+    }
+
+    /// Timed runs, back to back, until `window` closes; at least one.
+    pub fn run_for(&mut self, window: Duration) -> Result<()> {
+        let t0 = Instant::now();
+        let before = self.lat.attempted();
+        while t0.elapsed() < window || self.lat.attempted() == before {
+            let done = self.run_once()?;
+            if done.ok {
+                self.lat.ok(done.wall);
+                self.rss.push(done.peak_rss_mb);
+                self.busy += done.wall;
+                self.check_output()?;
+            } else {
+                self.lat.fail(window);
+            }
+        }
+        Ok(())
+    }
+
+    /// Median peak RSS of the successful runs. A child's `ru_maxrss`
+    /// starts at the benchmark's RSS when it was started (see
+    /// [`run_measured`]), so that must stay below the child's own peak.
+    pub fn peak_rss_mb(&self) -> Result<f64> {
+        check(!self.rss.is_empty(), format!("no {} succeeded", self.what))?;
+        let peak = median(&self.rss);
+        check(
+            self.own_rss < peak,
+            format!(
+                "the benchmark's own RSS ({:.1} MB) reaches the peak RSS of {} ({peak:.1} MB)",
+                self.own_rss, self.what
+            ),
+        )?;
+        Ok(peak)
+    }
+
+    /// `rows` per second over the summed wall of the successful runs.
+    pub fn rows_per_s(&self, rows: usize) -> Result<f64> {
+        check(!self.rss.is_empty(), format!("no {} succeeded", self.what))?;
+        Ok((rows * self.rss.len()) as f64 / self.busy.as_secs_f64())
+    }
+
+    fn run_once(&mut self) -> Result<Finished> {
+        let done = otrepair(self.ctx, self.args, self.out)?;
+        // Read after the spawn's heap trim: the RSS the child started from.
+        self.own_rss = self.own_rss.max(own_rss_mb()?);
+        Ok(done)
+    }
+
+    /// The output must equal `expected`. It is then removed, so no
+    /// write-back of it runs under later timings.
+    fn check_output(&self) -> Result<()> {
+        check(
+            same_bytes(self.out, self.expected)?,
+            format!("{} output differs from the in-process repair", self.what),
+        )?;
+        Ok(std::fs::remove_file(self.out)?)
+    }
+}
+
+/// Whether two files hold the same bytes, compared a chunk at a time so
+/// that neither is held in memory.
+pub fn same_bytes(a: &Path, b: &Path) -> Result<bool> {
+    const CHUNK: usize = 1 << 20;
+    let len = std::fs::metadata(a)?.len();
+    if std::fs::metadata(b)?.len() != len {
+        return Ok(false);
+    }
+    let (mut fa, mut fb) = (File::open(a)?, File::open(b)?);
+    let (mut ba, mut bb) = (vec![0; CHUNK], vec![0; CHUNK]);
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(CHUNK as u64) as usize;
+        fa.read_exact(&mut ba[..n])?;
+        fb.read_exact(&mut bb[..n])?;
+        if ba[..n] != bb[..n] {
+            return Ok(false);
+        }
+        left -= n as u64;
+    }
+    Ok(true)
+}
+
 /// `struct rusage` of Linux (two `timeval`s, then fourteen `long`s).
 #[repr(C)]
 struct RUsage {
@@ -139,6 +325,7 @@ struct RUsage {
 
 extern "C" {
     fn wait4(pid: c_int, status: *mut c_int, options: c_int, rusage: *mut RUsage) -> c_int;
+    fn malloc_trim(pad: usize) -> c_int;
 }
 
 /// A finished child: exit success, wall time and peak resident set.
@@ -150,7 +337,16 @@ pub struct Finished {
 
 /// Run `cmd` to completion with stdout discarded and stderr kept in
 /// `log`; report its wall time and peak RSS (`ru_maxrss` from `wait4`).
-pub fn run_measured(cmd: &mut Command, log: &Path) -> Result<Finished> {
+///
+/// On `exec` the kernel folds the peak RSS of the address space being
+/// left, the benchmark's own, into the child's `ru_maxrss`. So the freed
+/// heap goes back to the system first, and writing 5 to
+/// `/proc/self/clear_refs` lowers that peak to the benchmark's current
+/// RSS, which the caller keeps below the child's.
+fn run_measured(cmd: &mut Command, log: &Path) -> Result<Finished> {
+    // SAFETY: glibc's `malloc_trim` only releases free heap pages.
+    unsafe { malloc_trim(0) };
+    std::fs::write("/proc/self/clear_refs", "5")?;
     let err = File::create(log)?;
     let t0 = Instant::now();
     let child = cmd
@@ -200,12 +396,22 @@ pub fn run_measured(cmd: &mut Command, log: &Path) -> Result<Finished> {
 
 /// Peak RSS (`VmHWM`) of a live process, in MB.
 pub fn vm_hwm_mb(pid: u32) -> Result<f64> {
+    status_mb(&pid.to_string(), "VmHWM:")
+}
+
+/// The benchmark's own current RSS (`VmRSS`), in MB.
+fn own_rss_mb() -> Result<f64> {
+    status_mb("self", "VmRSS:")
+}
+
+/// A `kB` field of `/proc/<pid>/status`, in MB.
+fn status_mb(pid: &str, field: &str) -> Result<f64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status"))?;
     let kb: f64 = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .ok_or("no VmHWM line in /proc/<pid>/status")?;
+        .ok_or_else(|| format!("no {field} line in /proc/{pid}/status"))?;
     Ok(kb * 1024.0 / 1e6)
 }
 
@@ -248,7 +454,9 @@ impl Daemon {
             if Instant::now() > deadline {
                 return Err("otrepaird did not write its port file within 30 s".into());
             }
-            std::thread::sleep(Duration::from_millis(1));
+            // A start-up takes a few ms; poll finely so the wait does not
+            // round it up.
+            std::thread::sleep(Duration::from_micros(20));
         }
     }
 
@@ -386,20 +594,30 @@ pub fn write_csv(path: &Path, data: &ColumnarDataset) -> Result<()> {
     Ok(())
 }
 
-/// Render a data set to labelled-CSV bytes in memory.
-pub fn csv_bytes(data: &ColumnarDataset) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    otr_data::write_labelled_csv_columnar(&mut out, data)?;
-    Ok(out)
+/// Flush the files to disk now, so that no write-back of them runs under
+/// a later timing.
+pub fn sync(paths: &[&Path]) -> Result<()> {
+    for p in paths {
+        File::open(p)?.sync_all()?;
+    }
+    Ok(())
 }
 
-/// The `otrepair` command line `args`, with thread policy left at auto.
-pub fn otrepair(ctx: &Ctx, args: &[&str]) -> Command {
+/// Run `otrepair args`, which writes the file `out`, with thread policy
+/// left at auto (see [`run_measured`]). A stale `out` is removed first, so
+/// the program writes a new file as a user would: ext4 flushes a file
+/// overwritten in place when it is closed, which would put the host
+/// disk's load into the timing.
+pub fn otrepair(ctx: &Ctx, args: &[&str], out: &Path) -> Result<Finished> {
+    match std::fs::remove_file(out) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+        _ => {}
+    }
     let mut cmd = Command::new(&ctx.otrepair);
     cmd.args(args)
         .env_remove("OTR_THREADS")
         .env_remove("OTR_BATCH_ROWS");
-    cmd
+    run_measured(&mut cmd, &ctx.path("otrepair.log"))
 }
 
 pub fn path_str(p: &Path) -> Result<&str> {

@@ -72,6 +72,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<()> {
+    util::fix_allocator();
     let args = parse_args()?;
     let spec: Value = serde_json::from_str(&std::fs::read_to_string("BENCHMARK.json")?)?;
     let why = entries(&spec, "workloads", "why")?

@@ -326,6 +326,30 @@ struct RUsage {
 extern "C" {
     fn wait4(pid: c_int, status: *mut c_int, options: c_int, rusage: *mut RUsage) -> c_int;
     fn malloc_trim(pad: usize) -> c_int;
+    fn mallopt(param: c_int, value: c_int) -> c_int;
+}
+
+/// glibc's `M_TRIM_THRESHOLD` and `M_MMAP_THRESHOLD`.
+const M_TRIM_THRESHOLD: c_int = -1;
+const M_MMAP_THRESHOLD: c_int = -3;
+
+/// Pin the benchmark's own allocator to one behaviour for the whole run.
+///
+/// By default glibc moves its mmap threshold up as large blocks are
+/// freed and trims the heap top as it goes. Which state a process lands
+/// in depends on the order of its first frees, and in one of them every
+/// decoded 100k-row response maps and faults in fresh pages: about 5 ms
+/// of kernel time per request in the load generator against 0.6 ms in
+/// the other, enough to split runs of the same code into a slow and a
+/// fast mode. Fixed thresholds keep blocks up to 32 MiB on the heap and
+/// leave trimming to the explicit [`malloc_trim`] before each spawn.
+pub fn fix_allocator() {
+    // SAFETY: `mallopt` only sets allocator tunables; called first in
+    // `main`, before any other thread exists.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 1 << 30);
+    }
 }
 
 /// A finished child: exit success, wall time and peak resident set.

@@ -184,6 +184,71 @@ fn apply_output_identical_for_any_thread_count() {
     assert_eq!(outputs[0], outputs[2], "1 vs 7 threads");
 }
 
+/// FNV-1a 64 of a byte string: a digest that, unlike `DefaultHasher`,
+/// is fixed across Rust releases, so it can live in a checked-in
+/// fixture.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden outputs of `otrepair apply` in each scalar mode (randomized,
+/// `--partial 0.4`, `--monge`) at a fixed seed: every output file must
+/// match the row count and digest in `tests/fixtures/apply_golden.txt`,
+/// byte for byte, whatever batch implementation runs underneath.
+#[test]
+fn apply_modes_match_golden_fixture() {
+    let dir = tmp_dir("golden");
+    let (research, archive) = write_csvs(&dir, 6);
+    let plan = dir.join("plan.json").to_string_lossy().into_owned();
+    assert!(Command::new(bin())
+        .args([
+            "design",
+            "--research",
+            &research,
+            "--out",
+            &plan,
+            "--nq",
+            "30"
+        ])
+        .status()
+        .unwrap()
+        .success());
+
+    let fixture = include_str!("fixtures/apply_golden.txt");
+    let expected: Vec<&str> = fixture
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    let modes: [(&str, &[&str]); 3] = [
+        ("default", &[]),
+        ("partial-0.4", &["--partial", "0.4"]),
+        ("monge", &["--monge"]),
+    ];
+    assert_eq!(expected.len(), modes.len(), "fixture lines: {expected:?}");
+    for ((mode, extra), want) in modes.iter().zip(&expected) {
+        let out = dir
+            .join(format!("golden-{mode}.csv"))
+            .to_string_lossy()
+            .into_owned();
+        let mut args = vec![
+            "apply", "--plan", &plan, "--data", &archive, "--out", &out, "--seed", "13",
+        ];
+        args.extend_from_slice(extra);
+        let run = Command::new(bin()).args(&args).output().unwrap();
+        assert!(
+            run.status.success(),
+            "apply {mode} failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let bytes = std::fs::read(&out).unwrap();
+        let rows = bytes.iter().filter(|&&b| b == b'\n').count() - 1;
+        let got = format!("{mode} {rows} {:016x}", fnv1a64(&bytes));
+        assert_eq!(&got, want, "apply {mode} drifted from the golden fixture");
+    }
+}
+
 /// `apply` runs once per `--layout` value (plus the default, which is
 /// columnar) and every run writes the identical output file — the
 /// columnar data path is byte-compatible with the row path end to end,

@@ -168,7 +168,7 @@ impl GroupBlindRepairer {
 
     /// Row-parallel blind repair with per-row SplitMix64 RNG streams
     /// derived from `seed` — the group-blind analogue of
-    /// [`RepairPlan::repair_dataset_par`]. Row `i` draws its posterior
+    /// [`RepairPlan::repair_columnar_par`]. Row `i` draws its posterior
     /// `ŝ` and its plan-row randomness from
     /// `StdRng::seed_from_u64(splitmix_seed(seed, i))` whatever thread
     /// executes it, so the output is **bit-identical for any thread

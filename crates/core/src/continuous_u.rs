@@ -214,7 +214,7 @@ impl ContinuousURepairer {
 
     /// Row-parallel batch repair with per-row SplitMix64 RNG streams
     /// derived from `seed` — the continuous-`u` analogue of
-    /// [`crate::RepairPlan::repair_dataset_par`]. Row `i` draws from
+    /// [`crate::RepairPlan::repair_columnar_par`]. Row `i` draws from
     /// `StdRng::seed_from_u64(splitmix_seed(seed, i))` whatever thread
     /// executes it, so the output is **bit-identical for any thread
     /// count** (set at design time from `config.threads`, retunable via

@@ -711,7 +711,7 @@ impl JointRepairPlan {
 
     /// Repair an entire data set jointly, in parallel, with per-row
     /// SplitMix64 RNG streams derived from `seed` — the joint analogue
-    /// of [`crate::RepairPlan::repair_dataset_par`], bit-identical for
+    /// of [`crate::RepairPlan::repair_columnar_par`], bit-identical for
     /// any `config.threads` setting.
     ///
     /// # Errors

@@ -20,9 +20,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use otr_data::{Dataset, LabelledPoint};
+use otr_data::{ColumnarDataset, LabelledPoint};
 use otr_ot::MidpointCdf;
-use otr_par::try_par_map_indexed;
+use otr_par::par_cols_mut;
 
 use crate::error::{RepairError, Result};
 use crate::plan::RepairPlan;
@@ -105,11 +105,19 @@ impl MongeRepair {
         })
     }
 
-    /// Repair an entire labelled data set (deterministic; no RNG).
+    /// Repair a columnar data set, column slice by column slice, on
+    /// `threads` threads (`0` = auto / `OTR_THREADS`). The Monge map is
+    /// a deterministic function of each value — no RNG streams — so the
+    /// output equals [`Self::repair_point`] row by row for any thread
+    /// count.
     ///
     /// # Errors
     /// Rejects dimension mismatches.
-    pub fn repair_dataset(&self, data: &Dataset) -> Result<Dataset> {
+    pub fn repair_columnar(
+        &self,
+        data: &ColumnarDataset,
+        threads: usize,
+    ) -> Result<ColumnarDataset> {
         if data.dim() != self.dim {
             return Err(RepairError::PlanMismatch(format!(
                 "dataset dimension {} vs design dimension {}",
@@ -117,32 +125,21 @@ impl MongeRepair {
                 self.dim
             )));
         }
-        let points = data
-            .points()
-            .iter()
-            .map(|p| self.repair_point(p))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Dataset::from_points(points)?)
-    }
-
-    /// Row-parallel [`Self::repair_dataset`] (`threads`: `0` = auto /
-    /// `OTR_THREADS`). The Monge map is a deterministic function of each
-    /// point — no RNG streams are needed — so the output is trivially
-    /// **bit-identical** to the sequential path for any thread count.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches (lowest failing row reported first).
-    pub fn repair_dataset_par(&self, data: &Dataset, threads: usize) -> Result<Dataset> {
-        if data.dim() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "dataset dimension {} vs design dimension {}",
-                data.dim(),
-                self.dim
-            )));
-        }
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), threads, |i| self.repair_point(&pts[i]))?;
-        Ok(Dataset::from_points(points)?)
+        let (s_col, u_col) = (data.s(), data.u());
+        let cols_in = data.feature_columns();
+        let mut out: Vec<Vec<f64>> = vec![vec![0.0; data.len()]; self.dim];
+        par_cols_mut(&mut out, threads, |row0, chunks| {
+            for (k, col_out) in chunks.iter_mut().enumerate() {
+                let col_in = &cols_in[k][row0..row0 + col_out.len()];
+                for (li, (y, &x)) in col_out.iter_mut().zip(col_in).enumerate() {
+                    let i = row0 + li;
+                    let stratum = &self.strata[usize::from(u_col[i]) * self.dim + k];
+                    *y = stratum.marginal_cdfs[usize::from(s_col[i])]
+                        .monge_to(&stratum.target_cdf, x);
+                }
+            }
+        });
+        Ok(data.with_feature_columns(out)?)
     }
 }
 
@@ -151,7 +148,7 @@ mod tests {
     use super::*;
     use crate::config::RepairConfig;
     use crate::plan::RepairPlanner;
-    use otr_data::SimulationSpec;
+    use otr_data::{Dataset, SimulationSpec};
     use otr_fairness::ConditionalDependence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -166,11 +163,18 @@ mod tests {
         (plan, split.research, split.archive)
     }
 
+    fn repair(monge: &MongeRepair, data: &Dataset) -> Dataset {
+        monge
+            .repair_columnar(&ColumnarDataset::from_dataset(data), 0)
+            .unwrap()
+            .to_dataset()
+    }
+
     #[test]
     fn monge_repair_quenches_dependence() {
         let (plan, _, archive) = setup(1, 50);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         let cd = ConditionalDependence::default();
         let before = cd.evaluate(&archive).unwrap().aggregate();
         let after = cd.evaluate(&repaired).unwrap().aggregate();
@@ -198,7 +202,7 @@ mod tests {
     fn monge_values_are_continuous_not_grid_states() {
         let (plan, _, archive) = setup(3, 25);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         // At a coarse nQ=25 grid, most repaired values should NOT coincide
         // with grid states (unlike Algorithm 2).
         let fp = plan.feature_plan(0, 0).unwrap();
@@ -221,7 +225,7 @@ mod tests {
         // the repaired e-metric must be close between the two operators.
         let (plan, _, archive) = setup(4, 200);
         let monge = MongeRepair::from_plan(&plan);
-        let det = monge.repair_dataset(&archive).unwrap();
+        let det = repair(&monge, &archive);
         let mut rng = StdRng::seed_from_u64(99);
         let rand = plan.repair_dataset(&archive, &mut rng).unwrap();
         let cd = ConditionalDependence::default();
@@ -260,28 +264,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_monge_identical_across_thread_counts() {
+    fn columnar_monge_matches_point_reference_for_any_thread_count() {
         let (plan, _, archive) = setup(8, 30);
         let monge = MongeRepair::from_plan(&plan);
-        let seq = monge.repair_dataset(&archive).unwrap();
+        let cols = ColumnarDataset::from_dataset(&archive);
+        let seq: Vec<LabelledPoint> = archive
+            .points()
+            .iter()
+            .map(|p| monge.repair_point(p).unwrap())
+            .collect();
         for threads in [1usize, 2, 7] {
-            let par = monge.repair_dataset_par(&archive, threads).unwrap();
-            assert_eq!(par.points(), seq.points(), "threads = {threads}");
+            let par = monge.repair_columnar(&cols, threads).unwrap();
+            assert_eq!(par.to_dataset().points(), &seq[..], "threads = {threads}");
         }
-        let bad = Dataset::from_points(vec![LabelledPoint {
-            x: vec![0.0],
-            s: 0,
-            u: 0,
-        }])
-        .unwrap();
-        assert!(monge.repair_dataset_par(&bad, 2).is_err());
+        let bad = ColumnarDataset::from_columns(vec![vec![0.0]], vec![0], vec![0]).unwrap();
+        assert!(monge.repair_columnar(&bad, 2).is_err());
     }
 
     #[test]
     fn labels_preserved() {
         let (plan, _, archive) = setup(7, 30);
         let monge = MongeRepair::from_plan(&plan);
-        let repaired = monge.repair_dataset(&archive).unwrap();
+        let repaired = repair(&monge, &archive);
         assert_eq!(repaired.len(), archive.len());
         for (a, b) in repaired.points().iter().zip(archive.points()) {
             assert_eq!(a.s, b.s);

@@ -104,6 +104,50 @@ impl FeaturePlan {
         Ok(())
     }
 
+    /// Structural checks on a stratum that arrived through
+    /// deserialization: a non-empty, finite, strictly increasing
+    /// support; marginals and barycentre with one mass per support
+    /// state; and square `support.len()`-state plans. Everything the
+    /// repair kernels index by is bounded by these.
+    fn validate(&self) -> std::result::Result<(), String> {
+        let n = self.support.len();
+        if n == 0 {
+            return Err("empty support".into());
+        }
+        if self.support.iter().any(|x| !x.is_finite()) {
+            return Err("non-finite support state".into());
+        }
+        if !self.support.windows(2).all(|w| w[0] < w[1]) {
+            return Err("support is not strictly increasing".into());
+        }
+        let dists = [
+            ("marginal s=0", &self.marginals[0]),
+            ("marginal s=1", &self.marginals[1]),
+            ("barycentre", &self.barycentre),
+        ];
+        for (name, dist) in dists {
+            if dist.masses().len() != n {
+                return Err(format!(
+                    "{name} has {} masses for {n} support states",
+                    dist.masses().len()
+                ));
+            }
+            DiscreteDistribution::new(dist.support().to_vec(), dist.masses().to_vec())
+                .map_err(|e| format!("{name}: {e}"))?;
+        }
+        for (s, plan) in self.plans.iter().enumerate() {
+            if plan.rows() != n || plan.cols() != n {
+                return Err(format!(
+                    "plan s={s} is {}x{}, expected {n}x{n}",
+                    plan.rows(),
+                    plan.cols()
+                ));
+            }
+            plan.validate().map_err(|e| format!("plan s={s}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// True if [`FeaturePlan::compile`] has been run.
     pub fn is_compiled(&self) -> bool {
         self.samplers[0].len() == self.plans[0].rows()
@@ -246,7 +290,7 @@ impl FeaturePlan {
             } else {
                 // Same arithmetic as `repair_value`: divide by `step`
                 // (a reciprocal-multiply rounds differently and would
-                // break byte-identity with the row path).
+                // break byte-identity with it).
                 let pos = (x - lo) / step;
                 let b = pos.floor();
                 base.push(b as u32);
@@ -366,29 +410,6 @@ impl RepairPlan {
         }
     }
 
-    /// Check that a point is repairable by this plan (dimension and
-    /// binary labels) without repairing it — the cheap pre-validation
-    /// batch entry points run before consuming any randomness.
-    ///
-    /// # Errors
-    /// Rejects dimension/label mismatches.
-    pub fn repair_point_domain(&self, point: &LabelledPoint) -> Result<()> {
-        if point.x.len() != self.dim {
-            return Err(RepairError::PlanMismatch(format!(
-                "point dimension {} vs plan dimension {}",
-                point.x.len(),
-                self.dim
-            )));
-        }
-        if point.u > 1 || point.s > 1 {
-            return Err(RepairError::PlanMismatch(format!(
-                "labels (s={}, u={}) outside {{0,1}}",
-                point.s, point.u
-            )));
-        }
-        Ok(())
-    }
-
     /// Repair a full labelled point (all features).
     ///
     /// # Errors
@@ -443,12 +464,7 @@ impl RepairPlan {
         lambda: f64,
         rng: &mut R,
     ) -> Result<Dataset> {
-        if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
-            return Err(RepairError::InvalidParameter {
-                name: "lambda",
-                reason: format!("must be in [0,1], got {lambda}"),
-            });
-        }
+        check_lambda(lambda)?;
         let repaired = self.repair_dataset(data, rng)?;
         let mut points = Vec::with_capacity(data.len());
         for (orig, rep) in data.points().iter().zip(repaired.points()) {
@@ -456,7 +472,7 @@ impl RepairPlan {
                 .x
                 .iter()
                 .zip(&rep.x)
-                .map(|(o, r)| (1.0 - lambda) * o + lambda * r)
+                .map(|(&o, &r)| mix(lambda, o, r))
                 .collect();
             points.push(LabelledPoint {
                 x,
@@ -467,43 +483,11 @@ impl RepairPlan {
         Ok(Dataset::from_points(points)?)
     }
 
-    /// Repair row `i` of a dataset under the per-row RNG stream
-    /// contract: row `i` always draws from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))`, whatever thread
-    /// executes it. This is the unit of work shared by the sequential
-    /// and parallel dataset entry points, which is what makes their
-    /// outputs bit-identical.
-    fn repair_point_stream(
-        &self,
-        seed: u64,
-        i: usize,
-        point: &LabelledPoint,
-    ) -> Result<LabelledPoint> {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, i as u64));
-        self.repair_point(point, &mut rng)
-    }
-
-    /// Repair an entire data set in parallel with per-row SplitMix64 RNG
-    /// streams derived from `seed`. Output is **bit-identical for any
-    /// thread count** (including 1) and equal to
-    /// [`Self::repair_dataset_seeded`]; threads come from
-    /// `config.threads` (`0` = auto / `OTR_THREADS`).
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset_par(&self, data: &Dataset, seed: u64) -> Result<Dataset> {
-        self.check_dim(data)?;
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.config.threads, |i| {
-            self.repair_point_stream(seed, i, &pts[i])
-        })?;
-        Ok(Dataset::from_points(points)?)
-    }
-
     /// Sequential reference implementation of the per-row-stream repair
-    /// contract: exactly [`Self::repair_dataset_par`] on one thread.
-    /// Exposed so tests and benches can prove bit-identity and measure
-    /// speedup against a genuinely single-threaded baseline.
+    /// contract: row `i` draws from
+    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))`, point by point.
+    /// This is what [`Self::repair_columnar_par`] reproduces byte for
+    /// byte on any thread count; tests and benches compare against it.
     ///
     /// # Errors
     /// Rejects dimension mismatches.
@@ -511,23 +495,23 @@ impl RepairPlan {
         self.check_dim(data)?;
         let mut points = Vec::with_capacity(data.len());
         for (i, p) in data.points().iter().enumerate() {
-            points.push(self.repair_point_stream(seed, i, p)?);
+            let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, i as u64));
+            points.push(self.repair_point(p, &mut rng)?);
         }
         Ok(Dataset::from_points(points)?)
     }
 
-    /// Columnar batch repair: Algorithm 2 over column slices instead of
-    /// rows. Repairs a [`ColumnarDataset`] feature by feature — quantize
-    /// a whole column lane against the plan grid, draw (or gather, in
-    /// deterministic mode) the repaired states, scatter back — in tight
-    /// `f64`-slice loops that autovectorize, chunked over rows on
-    /// `config.threads` threads with `config.batch_rows`-row batches
-    /// (`None` = auto / `OTR_BATCH_ROWS`).
+    /// Columnar batch repair: Algorithm 2 over column slices. Repairs a
+    /// [`ColumnarDataset`] feature by feature — quantize a whole column
+    /// lane against the plan grid, draw (or gather, in deterministic
+    /// mode) the repaired states, scatter back — in tight `f64`-slice
+    /// loops that autovectorize, chunked over rows on `config.threads`
+    /// threads with `config.batch_rows`-row batches (`None` = auto /
+    /// `OTR_BATCH_ROWS`).
     ///
-    /// Output is **byte-identical to the row path**: row `i` draws from
-    /// `StdRng::seed_from_u64(splitmix_seed(seed, i))` in feature order,
-    /// exactly like [`Self::repair_dataset_par`], so
-    /// `repair_columnar_par(x, seed).to_dataset() ==
+    /// Output is **byte-identical to the per-point reference**: row `i`
+    /// draws from `StdRng::seed_from_u64(splitmix_seed(seed, i))` in
+    /// feature order, so `repair_columnar_par(x, seed).to_dataset() ==
     /// repair_dataset_seeded(x.to_dataset(), seed)` for any thread count
     /// and any batch size.
     ///
@@ -538,19 +522,32 @@ impl RepairPlan {
         data: &ColumnarDataset,
         seed: u64,
     ) -> Result<ColumnarDataset> {
-        Ok(self.repair_columnar_counted(data, seed)?.0)
+        Ok(self.repair_columnar_shard(data, seed, 0)?.0)
     }
 
-    /// [`Self::repair_columnar_par`] plus the out-of-range feature count
-    /// (same strict `x < lo || x > hi` test as the streaming counters) —
-    /// the form [`crate::StreamingRepairer::repair_batch_columnar`]
-    /// needs to keep its stats without a second pass.
-    pub(crate) fn repair_columnar_counted(
+    /// Columnar partial repair: [`Self::repair_columnar_par`], then the
+    /// feature-space interpolation `x' = (1−λ)x + λ·repair(x)` of
+    /// [`Self::repair_dataset_partial`] over each column slice. Row `i`
+    /// uses the per-row stream of [`Self::repair_dataset_seeded`], so the
+    /// output is byte-identical for any thread count and batch size.
+    ///
+    /// # Errors
+    /// Requires `λ ∈ [0,1]`; rejects dimension mismatches and uncompiled
+    /// plans.
+    pub fn repair_columnar_partial(
         &self,
         data: &ColumnarDataset,
+        lambda: f64,
         seed: u64,
-    ) -> Result<(ColumnarDataset, u64)> {
-        self.repair_columnar_shard(data, seed, 0)
+    ) -> Result<ColumnarDataset> {
+        check_lambda(lambda)?;
+        let mut cols = self.repair_columnar_par(data, seed)?.into_feature_columns();
+        for (rep, orig) in cols.iter_mut().zip(data.feature_columns()) {
+            for (r, &o) in rep.iter_mut().zip(orig) {
+                *r = mix(lambda, o, *r);
+            }
+        }
+        Ok(data.with_feature_columns(cols)?)
     }
 
     /// Chunk-addressable columnar repair — the sharding primitive of the
@@ -690,45 +687,6 @@ impl RepairPlan {
         oob
     }
 
-    /// Parallel partial repair: per-row streams as in
-    /// [`Self::repair_dataset_par`], then the feature-space geodesic
-    /// interpolation of [`Self::repair_dataset_partial`], fused into one
-    /// pass over the data.
-    ///
-    /// # Errors
-    /// Requires `λ ∈ [0,1]`; rejects dimension mismatches.
-    pub fn repair_dataset_partial_par(
-        &self,
-        data: &Dataset,
-        lambda: f64,
-        seed: u64,
-    ) -> Result<Dataset> {
-        if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
-            return Err(RepairError::InvalidParameter {
-                name: "lambda",
-                reason: format!("must be in [0,1], got {lambda}"),
-            });
-        }
-        self.check_dim(data)?;
-        let pts = data.points();
-        let points = try_par_map_indexed(pts.len(), self.config.threads, |i| {
-            let orig = &pts[i];
-            let rep = self.repair_point_stream(seed, i, orig)?;
-            let x = orig
-                .x
-                .iter()
-                .zip(&rep.x)
-                .map(|(o, r)| (1.0 - lambda) * o + lambda * r)
-                .collect();
-            Ok::<_, RepairError>(LabelledPoint {
-                x,
-                s: orig.s,
-                u: orig.u,
-            })
-        })?;
-        Ok(Dataset::from_points(points)?)
-    }
-
     fn check_dim(&self, data: &Dataset) -> Result<()> {
         if data.dim() != self.dim {
             return Err(RepairError::PlanMismatch(format!(
@@ -748,18 +706,57 @@ impl RepairPlan {
         serde_json::to_string(self).map_err(|e| RepairError::Persistence(e.to_string()))
     }
 
-    /// Load a plan from JSON and recompile its samplers.
+    /// Load a plan from JSON, check its structure, and recompile its
+    /// samplers.
     ///
     /// # Errors
-    /// Propagates deserialization and recompilation failures.
+    /// [`RepairError::Persistence`] on malformed JSON and on a plan that
+    /// does not hold one stratum per `(u, k)` slot in `u`-major order,
+    /// or whose strata fail their structural checks (see
+    /// [`FeaturePlan`]); recompilation failures propagate.
     pub fn from_json(json: &str) -> Result<Self> {
         let mut plan: RepairPlan =
             serde_json::from_str(json).map_err(|e| RepairError::Persistence(e.to_string()))?;
-        for fp in &mut plan.features {
+        let dim = plan.dim;
+        if dim == 0 || dim.checked_mul(2) != Some(plan.features.len()) {
+            return Err(RepairError::Persistence(format!(
+                "{} feature plans for dimension {dim} (expected 2·dim ≥ 2)",
+                plan.features.len()
+            )));
+        }
+        for (idx, fp) in plan.features.iter_mut().enumerate() {
+            let (u, k) = (idx / dim, idx % dim);
+            if usize::from(fp.u) != u || fp.k != k {
+                return Err(RepairError::Persistence(format!(
+                    "feature plan {idx} is labelled (u={}, k={}), expected (u={u}, k={k})",
+                    fp.u, fp.k
+                )));
+            }
+            fp.validate().map_err(|e| {
+                RepairError::Persistence(format!("feature plan (u={u}, k={k}): {e}"))
+            })?;
             fp.compile()?;
         }
         Ok(plan)
     }
+}
+
+/// Reject a partial-repair weight outside `[0, 1]` (or NaN).
+fn check_lambda(lambda: f64) -> Result<()> {
+    if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
+        return Err(RepairError::InvalidParameter {
+            name: "lambda",
+            reason: format!("must be in [0,1], got {lambda}"),
+        });
+    }
+    Ok(())
+}
+
+/// The partial-repair interpolation `(1−λ)·x + λ·r`, shared by the
+/// per-point and columnar entry points so both round identically.
+#[inline]
+fn mix(lambda: f64, x: f64, r: f64) -> f64 {
+    (1.0 - lambda) * x + lambda * r
 }
 
 /// Algorithm 1: designs [`RepairPlan`]s from `s|u`-labelled research data.
@@ -1190,28 +1187,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_repair_bit_identical_across_thread_counts() {
-        let data = research(20, 400);
-        let archive = research(21, 1_000);
-        let mut reference: Option<Dataset> = None;
-        for threads in [1usize, 2, 7] {
-            let mut cfg = RepairConfig::with_n_q(30);
-            cfg.threads = threads;
-            let plan = RepairPlanner::new(cfg).design(&data).unwrap();
-            let par = plan.repair_dataset_par(&archive, 99).unwrap();
-            // Parallel equals the sequential per-row-stream reference...
-            let seq = plan.repair_dataset_seeded(&archive, 99).unwrap();
-            assert_eq!(par.points(), seq.points(), "threads = {threads}");
-            // ...and every thread count produces the same bytes.
-            match &reference {
-                None => reference = Some(par),
-                Some(r) => assert_eq!(par.points(), r.points(), "threads = {threads}"),
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_repair_byte_identical_to_row_path() {
+    fn columnar_repair_byte_identical_to_seeded_reference() {
         let data = research(30, 400);
         let archive = research(31, 1_500);
         let cols = ColumnarDataset::from_dataset(&archive);
@@ -1271,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_repair_deterministic_mode_matches_row_path() {
+    fn columnar_repair_deterministic_mode_matches_seeded_reference() {
         let data = research(32, 400);
         let mut cfg = RepairConfig::with_n_q(30);
         cfg.mass_split = MassSplit::Deterministic;
@@ -1279,7 +1255,7 @@ mod tests {
         cfg.batch_rows = Some(101);
         let plan = RepairPlanner::new(cfg).design(&data).unwrap();
         let archive = research(33, 800);
-        let row = plan.repair_dataset_par(&archive, 5).unwrap();
+        let row = plan.repair_dataset_seeded(&archive, 5).unwrap();
         let col = plan
             .repair_columnar_par(&ColumnarDataset::from_dataset(&archive), 5)
             .unwrap();
@@ -1295,11 +1271,67 @@ mod tests {
             ColumnarDataset::from_columns(vec![vec![0.0, 1.0]], vec![0, 1], vec![0, 1]).unwrap();
         assert!(plan.repair_columnar_par(&wrong_dim, 1).is_err());
         // A freshly deserialized (uncompiled) plan is rejected, same as
-        // the row path's repair_value.
+        // the per-point repair_value.
         let raw: RepairPlan = serde_json::from_str(&plan.to_json().unwrap()).unwrap();
         let cols = ColumnarDataset::from_dataset(&research(35, 50));
         assert!(raw.repair_columnar_par(&cols, 1).is_err());
         assert!(plan.repair_columnar_par(&cols, 1).is_ok());
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_artifacts() {
+        let plan = RepairPlanner::new(RepairConfig::with_n_q(12))
+            .design(&research(38, 300))
+            .unwrap();
+        let reload = |mutate: &dyn Fn(&mut RepairPlan)| {
+            let mut bad = plan.clone();
+            mutate(&mut bad);
+            RepairPlan::from_json(&bad.to_json().unwrap())
+        };
+        assert!(reload(&|_| {}).is_ok());
+        let square = |n: usize| OtPlan::from_dense(n, n, vec![1.0; n * n]).unwrap();
+        type Mutation<'a> = (&'a str, &'a dyn Fn(&mut RepairPlan));
+        let mutations: [Mutation; 11] = [
+            ("truncated support", &|p| {
+                p.features[0].support.pop();
+            }),
+            ("empty support", &|p| p.features[1].support.clear()),
+            ("reversed support", &|p| p.features[2].support.reverse()),
+            ("repeated support state", &|p| {
+                p.features[3].support[1] = p.features[3].support[0];
+            }),
+            ("dropped stratum", &|p| {
+                p.features.remove(1);
+            }),
+            ("dimension mismatch", &|p| p.dim = 3),
+            ("zero dimension", &|p| {
+                p.dim = 0;
+                p.features.clear();
+            }),
+            ("swapped strata", &|p| p.features.swap(0, 1)),
+            ("short marginal", &|p| {
+                let fp = &mut p.features[0];
+                let n = fp.support.len() - 1;
+                fp.marginals[1] =
+                    DiscreteDistribution::new(fp.support[..n].to_vec(), vec![1.0; n]).unwrap();
+            }),
+            ("short barycentre", &|p| {
+                let fp = &mut p.features[1];
+                let n = fp.support.len() - 1;
+                fp.barycentre =
+                    DiscreteDistribution::new(fp.support[..n].to_vec(), vec![1.0; n]).unwrap();
+            }),
+            ("non-square plan", &|p| {
+                let n = p.features[2].support.len();
+                p.features[2].plans[0] = square(n - 1);
+            }),
+        ];
+        for (what, mutate) in mutations {
+            assert!(
+                matches!(reload(mutate), Err(RepairError::Persistence(_))),
+                "{what} was accepted"
+            );
+        }
     }
 
     #[test]
@@ -1329,9 +1361,11 @@ mod tests {
             .repair_dataset(&archive, &mut StdRng::seed_from_u64(2))
             .unwrap();
         assert_eq!(a.points(), b.points(), "deterministic split used the RNG");
-        // The parallel path agrees whatever the seed.
-        let par = plan.repair_dataset_par(&archive, 7).unwrap();
-        assert_eq!(par.points(), a.points());
+        // The columnar kernel agrees whatever the seed.
+        let par = plan
+            .repair_columnar_par(&ColumnarDataset::from_dataset(&archive), 7)
+            .unwrap();
+        assert_eq!(par.to_dataset().points(), a.points());
         // Equal inputs repair equally (individual-fairness property).
         let mut rng = StdRng::seed_from_u64(3);
         let x = plan.repair_value(0, 1, 0, 0.25, &mut rng).unwrap();
@@ -1340,20 +1374,31 @@ mod tests {
     }
 
     #[test]
-    fn partial_par_interpolates_and_matches_full_repair() {
+    fn columnar_partial_interpolates_and_matches_full_repair() {
         let data = research(25, 400);
         let plan = RepairPlanner::new(RepairConfig::with_n_q(30))
             .design(&data)
             .unwrap();
         let archive = research(26, 300);
-        let zero = plan.repair_dataset_partial_par(&archive, 0.0, 9).unwrap();
-        for (a, b) in zero.points().iter().zip(archive.points()) {
-            assert_eq!(a.x, b.x);
+        let cols = ColumnarDataset::from_dataset(&archive);
+        let zero = plan.repair_columnar_partial(&cols, 0.0, 9).unwrap();
+        assert_eq!(zero, cols);
+        let one = plan.repair_columnar_partial(&cols, 1.0, 9).unwrap();
+        let full = plan.repair_columnar_par(&cols, 9).unwrap();
+        assert_eq!(one, full);
+        // Any λ mixes each value with its per-row-stream repair.
+        let seeded = plan.repair_dataset_seeded(&archive, 9).unwrap();
+        let part = plan.repair_columnar_partial(&cols, 0.4, 9).unwrap();
+        for (i, (o, r)) in archive.points().iter().zip(seeded.points()).enumerate() {
+            let want: Vec<f64> =
+                o.x.iter()
+                    .zip(&r.x)
+                    .map(|(&x, &y)| mix(0.4, x, y))
+                    .collect();
+            assert_eq!(part.row(i).x, want, "row {i}");
         }
-        let one = plan.repair_dataset_partial_par(&archive, 1.0, 9).unwrap();
-        let full = plan.repair_dataset_par(&archive, 9).unwrap();
-        assert_eq!(one.points(), full.points());
-        assert!(plan.repair_dataset_partial_par(&archive, -0.1, 9).is_err());
+        assert!(plan.repair_columnar_partial(&cols, -0.1, 9).is_err());
+        assert!(plan.repair_columnar_partial(&cols, f64::NAN, 9).is_err());
     }
 
     #[test]

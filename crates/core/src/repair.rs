@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use otr_data::{ColumnarDataset, LabelledPoint};
-use otr_par::{splitmix_seed, try_par_map_indexed};
 
 use crate::config::MassSplit;
 use crate::error::{RepairError, Result};
@@ -68,62 +67,23 @@ impl StreamingRepairer {
         Ok(repaired)
     }
 
-    /// Repair a batch, returning repaired points in order.
-    ///
-    /// The batch is repaired in parallel (`plan.config.threads`; `0` =
-    /// auto / `OTR_THREADS`): the owned RNG is advanced **once** to
-    /// derive a batch seed, and every point then draws from its own
-    /// SplitMix64 stream, so the output is a pure function of the
-    /// repairer's seed, the batches pushed so far, and the batch
-    /// contents — bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// Fails atomically on the first invalid point (by batch order):
-    /// stream statistics **and the owned RNG** are untouched on failure,
-    /// and an empty batch is a strict no-op, so a caller that drops a
-    /// bad batch and retries stays on the same random stream.
-    pub fn repair_batch(&mut self, points: &[LabelledPoint]) -> Result<Vec<LabelledPoint>> {
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Validate the whole batch (cheap label/dimension checks) before
-        // consuming any randomness — atomicity of the RNG stream.
-        for p in points {
-            self.plan.repair_point_domain(p)?;
-        }
-        let batch_seed = self.rng.next_u64();
-        let plan = &self.plan;
-        let repaired = try_par_map_indexed(points.len(), plan.config.threads, |i| {
-            let p = &points[i];
-            let oob = out_of_range_features(plan, p);
-            let mut rng = StdRng::seed_from_u64(splitmix_seed(batch_seed, i as u64));
-            plan.repair_point(p, &mut rng).map(|r| (r, oob))
-        })?;
-        let mut out = Vec::with_capacity(repaired.len());
-        for (r, oob) in repaired {
-            self.stats.repaired += 1;
-            self.stats.out_of_range += oob;
-            out.push(r);
-        }
-        Ok(out)
-    }
-
-    /// Repair a columnar batch through the column-slice kernels of
+    /// Repair a batch through the column-slice kernels of
     /// [`RepairPlan::repair_columnar_par`], updating stream statistics.
     ///
-    /// Same RNG contract as [`Self::repair_batch`]: the owned RNG is
-    /// advanced **once** for the batch seed and every row then draws
-    /// from its own SplitMix64 stream — so on equivalent inputs the two
-    /// entry points produce byte-identical repairs and leave the
-    /// repairer in byte-identical state. A pipeline can mix row and
-    /// columnar batches freely.
+    /// The owned RNG is advanced **once** to derive a batch seed, and
+    /// row `i` of the batch then draws from its own SplitMix64 stream
+    /// (exactly [`RepairPlan::repair_dataset_seeded`] at that seed), so
+    /// the output is a pure function of the repairer's seed, the batches
+    /// pushed so far, and the batch contents — bit-identical for any
+    /// thread count (`plan.config.threads`; `0` = auto / `OTR_THREADS`).
     ///
     /// # Errors
-    /// Fails atomically like [`Self::repair_batch`] (labels and column
-    /// shapes are already guaranteed by [`ColumnarDataset`], so only a
-    /// dimension mismatch or an uncompiled plan can fail): statistics
-    /// and the owned RNG are untouched on failure, and an empty batch is
-    /// a strict no-op.
+    /// Fails atomically (labels and column shapes are already guaranteed
+    /// by [`ColumnarDataset`], so only a dimension mismatch or an
+    /// uncompiled plan can fail): statistics and the owned RNG are
+    /// untouched on failure, and an empty batch is a strict no-op, so a
+    /// caller that drops a bad batch and retries stays on the same
+    /// random stream.
     pub fn repair_batch_columnar(&mut self, batch: &ColumnarDataset) -> Result<ColumnarDataset> {
         if batch.is_empty() {
             return Ok(batch.clone());
@@ -145,7 +105,7 @@ impl StreamingRepairer {
             ));
         }
         let batch_seed = self.rng.next_u64();
-        let (repaired, oob) = self.plan.repair_columnar_counted(batch, batch_seed)?;
+        let (repaired, oob) = self.plan.repair_columnar_shard(batch, batch_seed, 0)?;
         self.stats.repaired += batch.len() as u64;
         self.stats.out_of_range += oob;
         Ok(repaired)
@@ -162,8 +122,8 @@ impl StreamingRepairer {
 
 /// Feature values of `point` outside the plan's support range (they will
 /// be clamped to boundary states at repair time — the stationarity
-/// warning sign of Section V-A2a). The single definition behind both the
-/// point-wise and batch stream counters.
+/// warning sign of Section V-A2a). The point-wise stream counter; the
+/// columnar kernel applies the same strict `x < lo || x > hi` test.
 fn out_of_range_features(plan: &RepairPlan, point: &LabelledPoint) -> u64 {
     point
         .x
@@ -181,10 +141,10 @@ mod tests {
     use super::*;
     use crate::config::RepairConfig;
     use crate::plan::RepairPlanner;
-    use otr_data::SimulationSpec;
+    use otr_data::{Dataset, SimulationSpec};
     use rand::rngs::StdRng;
 
-    fn setup() -> (RepairPlan, Vec<LabelledPoint>) {
+    fn setup() -> (RepairPlan, Dataset) {
         let spec = SimulationSpec::paper_defaults();
         let mut rng = StdRng::seed_from_u64(1);
         let research = spec.sample_dataset(400, &mut rng).unwrap();
@@ -192,23 +152,25 @@ mod tests {
         let plan = RepairPlanner::new(RepairConfig::with_n_q(30))
             .design(&research)
             .unwrap();
-        (plan, archive.points().to_vec())
+        (plan, archive)
     }
 
     #[test]
     fn stream_matches_batch_cardinality() {
-        let (plan, points) = setup();
+        let (plan, archive) = setup();
         let mut streamer = StreamingRepairer::new(plan, 7);
-        let out = streamer.repair_batch(&points).unwrap();
-        assert_eq!(out.len(), points.len());
-        assert_eq!(streamer.stats().repaired, points.len() as u64);
+        let out = streamer
+            .repair_batch_columnar(&ColumnarDataset::from_dataset(&archive))
+            .unwrap();
+        assert_eq!(out.len(), archive.len());
+        assert_eq!(streamer.stats().repaired, archive.len() as u64);
     }
 
     #[test]
     fn labels_pass_through() {
-        let (plan, points) = setup();
+        let (plan, archive) = setup();
         let mut streamer = StreamingRepairer::new(plan, 8);
-        for p in points.iter().take(50) {
+        for p in archive.points().iter().take(50) {
             let r = streamer.repair(p).unwrap();
             assert_eq!(r.s, p.s);
             assert_eq!(r.u, p.u);
@@ -231,46 +193,27 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (plan, points) = setup();
+        let (plan, archive) = setup();
+        let cols = ColumnarDataset::from_dataset(&archive);
         let a = StreamingRepairer::new(plan.clone(), 42)
-            .repair_batch(&points)
+            .repair_batch_columnar(&cols)
             .unwrap();
         let b = StreamingRepairer::new(plan, 42)
-            .repair_batch(&points)
+            .repair_batch_columnar(&cols)
             .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn failed_or_empty_batch_leaves_rng_untouched() {
-        let (plan, points) = setup();
-        let bad = LabelledPoint {
-            x: vec![0.0],
-            s: 0,
-            u: 0,
-        };
-        let mut poisoned = StreamingRepairer::new(plan.clone(), 42);
-        assert!(poisoned.repair_batch(&[]).unwrap().is_empty());
-        assert!(poisoned.repair_batch(std::slice::from_ref(&bad)).is_err());
-        assert_eq!(poisoned.stats().repaired, 0);
-        // After dropping the bad batch, the stream continues exactly as
-        // if the failure never happened.
-        let out_after_failure = poisoned.repair_batch(&points).unwrap();
-        let out_fresh = StreamingRepairer::new(plan, 42)
-            .repair_batch(&points)
-            .unwrap();
-        assert_eq!(out_after_failure, out_fresh);
-    }
-
-    #[test]
     fn batch_identical_across_thread_counts() {
-        let (plan, points) = setup();
-        let mut reference: Option<Vec<LabelledPoint>> = None;
+        let (plan, archive) = setup();
+        let cols = ColumnarDataset::from_dataset(&archive);
+        let mut reference: Option<ColumnarDataset> = None;
         for threads in [1usize, 2, 7] {
             let mut plan = plan.clone();
             plan.config.threads = threads;
             let out = StreamingRepairer::new(plan, 42)
-                .repair_batch(&points)
+                .repair_batch_columnar(&cols)
                 .unwrap();
             match &reference {
                 None => reference = Some(out),
@@ -280,25 +223,33 @@ mod tests {
     }
 
     #[test]
-    fn columnar_batch_matches_row_batch_and_stats() {
-        let (plan, points) = setup();
-        let data = otr_data::Dataset::from_points(points.clone()).unwrap();
-        let cols = ColumnarDataset::from_dataset(&data);
-        let mut row_streamer = StreamingRepairer::new(plan.clone(), 42);
-        let mut col_streamer = StreamingRepairer::new(plan, 42);
-        // Two batches through each entry point: identical repairs,
-        // identical stats, identical RNG state afterwards.
+    fn columnar_batch_matches_seeded_reference_and_stats() {
+        let (plan, archive) = setup();
+        let cols = ColumnarDataset::from_dataset(&archive);
+        let mut streamer = StreamingRepairer::new(plan.clone(), 42);
+        // Each batch advances the owned RNG once and repairs exactly as
+        // the per-point seeded reference does at that batch seed.
+        let mut owned = StdRng::seed_from_u64(42);
         for _ in 0..2 {
-            let row_out = row_streamer.repair_batch(&points).unwrap();
-            let col_out = col_streamer.repair_batch_columnar(&cols).unwrap();
-            assert_eq!(col_out.to_dataset().points(), &row_out[..]);
+            let out = streamer.repair_batch_columnar(&cols).unwrap();
+            let want = plan
+                .repair_dataset_seeded(&archive, owned.next_u64())
+                .unwrap();
+            assert_eq!(out.to_dataset().points(), want.points());
         }
-        assert_eq!(row_streamer.stats(), col_streamer.stats());
-        // Mixing layouts keeps the stream aligned: the next row batch
-        // agrees whichever entry point served the earlier ones.
-        let row_next = row_streamer.repair_batch(&points).unwrap();
-        let col_next = col_streamer.repair_batch(&points).unwrap();
-        assert_eq!(row_next, col_next);
+        // Stats agree with the point-wise counter over the same rows.
+        let oob: u64 = archive
+            .points()
+            .iter()
+            .map(|p| out_of_range_features(&plan, p))
+            .sum();
+        assert_eq!(
+            streamer.stats(),
+            StreamStats {
+                repaired: 2 * archive.len() as u64,
+                out_of_range: 2 * oob,
+            }
+        );
     }
 
     #[test]
@@ -309,7 +260,7 @@ mod tests {
             s: 0,
             u: 0,
         };
-        let data = otr_data::Dataset::from_points(vec![extreme]).unwrap();
+        let data = Dataset::from_points(vec![extreme]).unwrap();
         let mut streamer = StreamingRepairer::new(plan, 9);
         streamer
             .repair_batch_columnar(&ColumnarDataset::from_dataset(&data))
@@ -320,9 +271,8 @@ mod tests {
 
     #[test]
     fn columnar_empty_or_failed_batch_leaves_rng_untouched() {
-        let (plan, points) = setup();
-        let data = otr_data::Dataset::from_points(points).unwrap();
-        let cols = ColumnarDataset::from_dataset(&data);
+        let (plan, archive) = setup();
+        let cols = ColumnarDataset::from_dataset(&archive);
         let wrong_dim = ColumnarDataset::from_columns(vec![vec![0.0]], vec![0], vec![0]).unwrap();
         let empty = ColumnarDataset::new(2).unwrap();
         let mut poisoned = StreamingRepairer::new(plan.clone(), 42);

@@ -10,7 +10,7 @@
 //! feature, packed `s`/`u` byte columns, and precomputed per-[`GroupKey`]
 //! row-index lists. A repair kernel then reads one cache-line-friendly
 //! column slice at a time and the compiler can autovectorize the pure
-//! arithmetic passes (see `docs/performance.md`, "Columnar layout").
+//! arithmetic passes (see `docs/performance.md`, "Columnar batch kernel").
 //!
 //! Conversions to and from [`Dataset`] are lossless: both directions
 //! preserve row order, labels, and exact `f64` bits, so the two layouts
@@ -177,6 +177,12 @@ impl ColumnarDataset {
     #[inline]
     pub fn feature_columns(&self) -> &[Vec<f64>] {
         &self.features
+    }
+
+    /// Take the feature columns out of the dataset, without copying them.
+    #[inline]
+    pub fn into_feature_columns(self) -> Vec<Vec<f64>> {
+        self.features
     }
 
     /// Packed protected-attribute column.
@@ -448,6 +454,10 @@ mod tests {
             assert_eq!(swapped.group_indices(key), c.group_indices(key));
         }
         assert_eq!(swapped.feature_column(0).unwrap(), &[9.0; 5]);
+        assert_eq!(
+            swapped.into_feature_columns(),
+            vec![vec![9.0; 5], vec![-1.0; 5]]
+        );
         assert!(c.with_feature_columns(vec![vec![0.0; 5]]).is_err());
         assert!(c
             .with_feature_columns(vec![vec![0.0; 4], vec![0.0; 5]])

@@ -132,8 +132,8 @@ pub struct BarycentreConfig {
     /// [`otr_par::KERNEL_CELLS_DEFAULT`]).
     pub parallel_min_cells: Option<usize>,
     /// Gibbs-kernel representation on separable (product-grid) costs —
-    /// honored by [`entropic_barycentre_grid2d`], where `Auto` (the
-    /// default) factorizes the kernel as `Kx ⊗ Ky` unless the
+    /// honored by [`entropic_barycentre_grid_nd`], where `Auto` (the
+    /// default) factorizes the kernel as `K₁ ⊗ … ⊗ K_d` unless the
     /// `OTR_KERNEL` environment variable says otherwise. The 1-D and
     /// arbitrary-point entry points have no separable structure and
     /// always solve dense. Part of the solve's definition (separable
@@ -295,31 +295,6 @@ pub fn entropic_barycentre_points2d(
     })
 }
 
-/// Entropic barycentre of pmfs on the **self-product grid** `gx × gy`
-/// (flattened row-major, `y` fastest) under squared-Euclidean cost —
-/// the joint-repair hot path. Functionally
-/// [`entropic_barycentre_points2d`] over the flattened grid points (and
-/// bitwise-equal to it when [`BarycentreConfig::kernel`] resolves to
-/// dense), but on this support the Gibbs kernel factorizes as
-/// `Kx ⊗ Ky`, so the default `Auto` choice runs every matvec as two
-/// `O(nQ³)` axis passes instead of one `O(nQ⁴)` dense sweep — the
-/// `~nQ/2`-fold saving that makes coarse joint design practical.
-/// Either representation is bit-identical for any
-/// [`BarycentreConfig::threads`] setting.
-///
-/// # Errors
-/// As [`entropic_barycentre_points2d`]; every marginal must have one
-/// mass per product-grid cell.
-pub fn entropic_barycentre_grid2d(
-    marginals: &[&[f64]],
-    lambda: &[f64],
-    gx: &[f64],
-    gy: &[f64],
-    config: &BarycentreConfig,
-) -> Result<(Vec<f64>, BarycentreDiagnostics)> {
-    entropic_barycentre_grid_nd(marginals, lambda, &[gx, gy], config)
-}
-
 /// Entropic barycentre of pmfs on the **d-axis self-product grid**
 /// `axes[0] × … × axes[d−1]` (flattened row-major, last axis fastest)
 /// under squared-Euclidean cost — the ≥3-feature joint-repair hot path.
@@ -329,9 +304,9 @@ pub fn entropic_barycentre_grid2d(
 /// (`nQ⁶` cells) is infeasible beyond toy sizes, so the separable
 /// representation is what makes deeper joint design possible at all.
 /// Either representation is bit-identical for any
-/// [`BarycentreConfig::threads`] setting; the d = 2 call (what
-/// [`entropic_barycentre_grid2d`] now delegates to) is bitwise-equal to
-/// the original two-axis implementation under both kernels.
+/// [`BarycentreConfig::threads`] setting. At d = 2 with the kernel
+/// forced dense it is bitwise-equal to [`entropic_barycentre_points2d`]
+/// over the flattened grid points.
 ///
 /// # Errors
 /// As [`entropic_barycentre_points2d`]; every marginal must have one
@@ -365,7 +340,7 @@ pub fn entropic_barycentre_grid_nd(
     // Dense fallback: decode the flattened multi-indices once and feed
     // the axis-ordered squared distance (at d = 2 this is the exact
     // `dx² + dy²` of the points2d build, bitwise — pinned by
-    // `grid2d_dense_path_bitwise_matches_points2d`).
+    // `grid_nd_dense_path_bitwise_matches_points2d_at_d2`).
     let d = axes.len();
     let mut coords = vec![0.0f64; n * d];
     for i in 0..n {
@@ -832,9 +807,9 @@ mod tests {
     }
 
     #[test]
-    fn grid2d_dense_path_bitwise_matches_points2d() {
-        // The grid2d entry with the kernel forced dense is the exact
-        // points2d computation — a refactor guard at the bit level.
+    fn grid_nd_dense_path_bitwise_matches_points2d_at_d2() {
+        // The two-axis grid entry with the kernel forced dense is the
+        // exact points2d computation — a refactor guard at the bit level.
         let gx = grid(-1.5, 1.5, 9);
         let gy = grid(-1.0, 2.0, 7);
         let a = gaussian2d_on(&gx, &gy, -0.5, 0.0, 0.6);
@@ -849,16 +824,16 @@ mod tests {
             .collect();
         let (flat, flat_diag) =
             entropic_barycentre_points2d(&[&a, &b], &[0.5, 0.5], &points, &cfg).unwrap();
-        let (grid2d, diag) =
-            entropic_barycentre_grid2d(&[&a, &b], &[0.5, 0.5], &gx, &gy, &cfg).unwrap();
+        let (grid, diag) =
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &[&gx, &gy], &cfg).unwrap();
         assert_eq!(diag, flat_diag);
-        for (x, y) in grid2d.iter().zip(&flat) {
+        for (x, y) in grid.iter().zip(&flat) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     #[test]
-    fn grid2d_separable_agrees_with_dense() {
+    fn grid_nd_separable_agrees_with_dense_at_d2() {
         // Separable and dense group the matvec sums differently, so the
         // converged barycentres agree to rounding, not bitwise. A tight
         // tolerance pins both iterates close to the common fixed point.
@@ -878,17 +853,18 @@ mod tests {
             kernel: KernelChoice::Separable,
             ..base
         };
+        let axes: [&[f64]; 2] = [&gx, &gy];
         let (dense, _) =
-            entropic_barycentre_grid2d(&[&a, &b], &[0.5, 0.5], &gx, &gy, &dense_cfg).unwrap();
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &axes, &dense_cfg).unwrap();
         let (sep, diag) =
-            entropic_barycentre_grid2d(&[&a, &b], &[0.5, 0.5], &gx, &gy, &sep_cfg).unwrap();
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.5, 0.5], &axes, &sep_cfg).unwrap();
         assert!(diag.final_delta < base.tol);
         let l1: f64 = dense.iter().zip(&sep).map(|(x, y)| (x - y).abs()).sum();
         assert!(l1 < 1e-9, "separable vs dense barycentre L1 = {l1:e}");
     }
 
     #[test]
-    fn grid2d_separable_parallel_bit_identical_to_sequential() {
+    fn grid_nd_separable_parallel_bit_identical_to_sequential_at_d2() {
         let gx = grid(-1.0, 1.0, 8);
         let gy = grid(-0.5, 1.5, 6);
         let a = gaussian2d_on(&gx, &gy, -0.3, 0.1, 0.5);
@@ -900,12 +876,13 @@ mod tests {
             parallel_min_cells: Some(1),
             ..BarycentreConfig::new(0.1, 5_000)
         };
+        let axes: [&[f64]; 2] = [&gx, &gy];
         let (seq, seq_diag) =
-            entropic_barycentre_grid2d(&[&a, &b], &[0.4, 0.6], &gx, &gy, &seq_cfg).unwrap();
+            entropic_barycentre_grid_nd(&[&a, &b], &[0.4, 0.6], &axes, &seq_cfg).unwrap();
         for threads in [2usize, 3, 7] {
             let cfg = BarycentreConfig { threads, ..seq_cfg };
             let (par, diag) =
-                entropic_barycentre_grid2d(&[&a, &b], &[0.4, 0.6], &gx, &gy, &cfg).unwrap();
+                entropic_barycentre_grid_nd(&[&a, &b], &[0.4, 0.6], &axes, &cfg).unwrap();
             assert_eq!(diag, seq_diag, "threads = {threads}");
             for (x, y) in par.iter().zip(&seq) {
                 assert_eq!(x.to_bits(), y.to_bits(), "threads = {threads}");
@@ -1014,15 +991,16 @@ mod tests {
     }
 
     #[test]
-    fn grid2d_rejects_bad_shapes() {
+    fn grid_nd_rejects_bad_shapes_at_d2() {
         let gx = grid(0.0, 1.0, 4);
         let gy = grid(0.0, 1.0, 3);
         let ok = vec![1.0 / 12.0; 12];
         let short = vec![0.5; 6];
         let cfg = BarycentreConfig::default();
-        assert!(entropic_barycentre_grid2d(&[&ok, &short], &[0.5, 0.5], &gx, &gy, &cfg).is_err());
-        assert!(entropic_barycentre_grid2d(&[&ok, &ok], &[0.5, 0.5], &[], &gy, &cfg).is_err());
-        assert!(entropic_barycentre_grid2d(&[&ok], &[1.0], &gx, &gy, &cfg).is_err());
+        let axes: [&[f64]; 2] = [&gx, &gy];
+        assert!(entropic_barycentre_grid_nd(&[&ok, &short], &[0.5, 0.5], &axes, &cfg).is_err());
+        assert!(entropic_barycentre_grid_nd(&[&ok, &ok], &[0.5, 0.5], &[&[], &gy], &cfg).is_err());
+        assert!(entropic_barycentre_grid_nd(&[&ok], &[1.0], &axes, &cfg).is_err());
     }
 
     #[test]

@@ -68,21 +68,6 @@ impl CostMatrix {
         Self::lp(source, target, 2.0)
     }
 
-    /// Squared-Euclidean cost of the **self-product grid** `gx × gy`
-    /// (both sides the same flattened row-major support, `y` fastest):
-    /// `C[(i,j),(k,l)] = (gx[i]−gx[k])² + (gy[j]−gy[l])²`. The dense
-    /// matrix is identical to what [`CostMatrix::from_fn`] over the
-    /// flattened points builds, but the axes are recorded as
-    /// [`CostMatrix::grid2d`] metadata, which lets the entropic solvers
-    /// factorize their Gibbs kernel as `Kx ⊗ Ky` (two `O(nQ³)` axis
-    /// passes instead of one `O(nQ⁴)` dense matvec).
-    ///
-    /// # Errors
-    /// Requires at least one point per axis and finite grid values.
-    pub fn squared_euclidean_grid2d(gx: &[f64], gy: &[f64]) -> Result<Self> {
-        Self::squared_euclidean_grid_nd(&[gx, gy])
-    }
-
     /// Squared-Euclidean cost of the **d-axis self-product grid**
     /// `axes[0] × … × axes[d−1]` (both sides the same flattened
     /// row-major support, last axis fastest):
@@ -142,24 +127,10 @@ impl CostMatrix {
         })
     }
 
-    /// The axis grids of a 2-axis self-product squared-Euclidean cost,
-    /// when this matrix was built by
-    /// [`CostMatrix::squared_euclidean_grid2d`] (the hint that a Gibbs
-    /// kernel over it factorizes as `Kx ⊗ Ky`). `None` for costs of any
-    /// other shape, including deeper product grids — d-axis callers use
-    /// [`CostMatrix::grid_nd`].
-    pub fn grid2d(&self) -> Option<(&[f64], &[f64])> {
-        match self.grid.as_deref() {
-            Some([gx, gy]) => Some((gx.as_slice(), gy.as_slice())),
-            _ => None,
-        }
-    }
-
     /// The axis grids of a d-axis self-product squared-Euclidean cost,
     /// when this matrix was built by
-    /// [`CostMatrix::squared_euclidean_grid_nd`] (or the grid2d
-    /// convenience wrapper) — the hint that a Gibbs kernel over it
-    /// factorizes as `K₁ ⊗ … ⊗ K_d`.
+    /// [`CostMatrix::squared_euclidean_grid_nd`] — the hint that a Gibbs
+    /// kernel over it factorizes as `K₁ ⊗ … ⊗ K_d`.
     pub fn grid_nd(&self) -> Option<&[Vec<f64>]> {
         self.grid.as_deref()
     }
@@ -278,10 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn grid2d_cost_matches_from_fn_and_records_axes() {
+    fn two_axis_grid_cost_matches_from_fn_and_records_axes() {
         let gx = [0.0, 1.0, 3.0];
         let gy = [-1.0, 0.5];
-        let c = CostMatrix::squared_euclidean_grid2d(&gx, &gy).unwrap();
+        let c = CostMatrix::squared_euclidean_grid_nd(&[&gx, &gy]).unwrap();
         assert_eq!(c.rows(), 6);
         assert_eq!(c.cols(), 6);
         let points: Vec<(f64, f64)> = gx
@@ -299,18 +270,19 @@ mod tests {
                 assert_eq!(c.get(i, j).to_bits(), dense.get(i, j).to_bits());
             }
         }
-        let (ax, ay) = c.grid2d().unwrap();
-        assert_eq!(ax, &gx);
-        assert_eq!(ay, &gy);
+        let axes = c.grid_nd().unwrap();
+        assert_eq!(axes.len(), 2);
+        assert_eq!(axes[0], &gx);
+        assert_eq!(axes[1], &gy);
         // Plain constructors carry no grid hint.
-        assert!(dense.grid2d().is_none());
+        assert!(dense.grid_nd().is_none());
         assert!(CostMatrix::squared_euclidean(&gx, &gx)
             .unwrap()
-            .grid2d()
+            .grid_nd()
             .is_none());
         // Degenerate axes are rejected.
-        assert!(CostMatrix::squared_euclidean_grid2d(&[], &gy).is_err());
-        assert!(CostMatrix::squared_euclidean_grid2d(&[f64::NAN], &gy).is_err());
+        assert!(CostMatrix::squared_euclidean_grid_nd(&[&[], &gy]).is_err());
+        assert!(CostMatrix::squared_euclidean_grid_nd(&[&[f64::NAN], &gy]).is_err());
     }
 
     #[test]
@@ -345,8 +317,6 @@ mod tests {
         assert_eq!(axes[0], &g1);
         assert_eq!(axes[1], &g2);
         assert_eq!(axes[2], &g3);
-        // A 3-axis grid is not a 2-axis grid.
-        assert!(c.grid2d().is_none());
         // The grid hint is runtime metadata, lost over serde.
         let back: CostMatrix = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
         assert!(back.grid_nd().is_none());
@@ -354,21 +324,6 @@ mod tests {
         assert!(CostMatrix::squared_euclidean_grid_nd(&[]).is_err());
         assert!(CostMatrix::squared_euclidean_grid_nd(&[&g1, &[]]).is_err());
         assert!(CostMatrix::squared_euclidean_grid_nd(&[&[f64::NAN]]).is_err());
-    }
-
-    #[test]
-    fn grid2d_is_the_two_axis_special_case_of_grid_nd() {
-        let gx = [0.0, 1.0, 3.0];
-        let gy = [-1.0, 0.5];
-        let via_2d = CostMatrix::squared_euclidean_grid2d(&gx, &gy).unwrap();
-        let via_nd = CostMatrix::squared_euclidean_grid_nd(&[&gx, &gy]).unwrap();
-        for i in 0..via_2d.rows() {
-            for j in 0..via_2d.cols() {
-                assert_eq!(via_2d.get(i, j).to_bits(), via_nd.get(i, j).to_bits());
-            }
-        }
-        assert!(via_2d.grid2d().is_some());
-        assert_eq!(via_nd.grid_nd().unwrap().len(), 2);
     }
 
     #[test]

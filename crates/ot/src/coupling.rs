@@ -54,6 +54,15 @@ impl OtPlan {
         Ok(Self { rows, cols, mass })
     }
 
+    /// Re-check the [`Self::from_dense`] invariants on a plan that did
+    /// not come through it (deserialization bypasses it).
+    ///
+    /// # Errors
+    /// As [`Self::from_dense`].
+    pub fn validate(&self) -> Result<()> {
+        Self::from_dense(self.rows, self.cols, self.mass.clone()).map(drop)
+    }
+
     /// Number of source points.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -194,6 +203,17 @@ mod tests {
         assert!(OtPlan::from_dense(1, 2, vec![-0.5, 1.5]).is_err());
         assert!(OtPlan::from_dense(1, 1, vec![0.0]).is_err());
         assert!(OtPlan::from_dense(1, 1, vec![f64::NAN]).is_err());
+    }
+
+    #[test]
+    fn validate_catches_what_deserialization_lets_through() {
+        assert!(simple_plan().validate().is_ok());
+        let short: OtPlan =
+            serde_json::from_str(r#"{"rows":2,"cols":2,"mass":[0.5,0.5,0.0]}"#).unwrap();
+        assert!(short.validate().is_err());
+        let negative: OtPlan =
+            serde_json::from_str(r#"{"rows":1,"cols":2,"mass":[-0.5,1.5]}"#).unwrap();
+        assert!(negative.validate().is_err());
     }
 
     #[test]

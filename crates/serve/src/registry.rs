@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use otr_core::{JointRepairPlan, RepairPlan};
-use otr_data::{ColumnarDataset, Dataset};
+use otr_data::ColumnarDataset;
 
 use crate::protocol::{ErrorCode, PlanInfo, PlanKind};
 
@@ -132,48 +132,17 @@ impl RegisteredPlan {
                 let (repaired, oob) = plan
                     .repair_columnar_shard(shard, seed, row_offset)
                     .map_err(|e| e.to_string())?;
-                Ok((repaired.feature_columns().to_vec(), oob))
+                Ok((repaired.into_feature_columns(), oob))
             }
             Self::Joint(plan) => {
                 let repaired = plan
                     .repair_dataset_shard(&shard.to_dataset(), seed, row_offset)
                     .map_err(|e| e.to_string())?;
                 Ok((
-                    ColumnarDataset::from_dataset(&repaired)
-                        .feature_columns()
-                        .to_vec(),
+                    ColumnarDataset::from_dataset(&repaired).into_feature_columns(),
                     0,
                 ))
             }
-        }
-    }
-
-    /// Repair a whole archive offline-style (`row_offset = 0`, no
-    /// sharding) — the reference the sharded path must match.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_whole(
-        &self,
-        archive: &ColumnarDataset,
-        seed: u64,
-    ) -> Result<(Vec<Vec<f64>>, u64), String> {
-        self.repair_shard(archive, seed, 0)
-    }
-
-    /// Offline repair of a row-major dataset — what `otrepair apply`
-    /// runs, exposed so tests can pin served-vs-offline byte-identity.
-    ///
-    /// # Errors
-    /// Rejects dimension mismatches.
-    pub fn repair_dataset(&self, data: &Dataset, seed: u64) -> Result<Dataset, String> {
-        match self {
-            Self::Scalar(plan) => plan
-                .repair_dataset_par(data, seed)
-                .map_err(|e| e.to_string()),
-            Self::Joint(plan) => plan
-                .repair_dataset_par(data, seed)
-                .map_err(|e| e.to_string()),
         }
     }
 

@@ -40,8 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nphase 1 — stationary stream:");
     for batch_no in 0..5 {
         let batch = spec.sample_dataset(2_000, &mut rng)?;
-        let repaired_points = repairer.repair_batch(batch.points())?;
-        let repaired = Dataset::from_points(repaired_points)?;
+        let repaired = repairer
+            .repair_batch_columnar(&ColumnarDataset::from_dataset(&batch))?
+            .to_dataset();
         let e = cd.evaluate(&repaired)?.aggregate();
         println!(
             "  batch {batch_no}: repaired E = {e:.4}, out-of-range rate = {:.4}",
@@ -54,8 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let drift = Drift::MeanShift(vec![1.5, 1.5]);
     for batch_no in 0..3 {
         let batch = drift.apply(&spec.sample_dataset(2_000, &mut rng)?)?;
-        let repaired_points = repairer.repair_batch(batch.points())?;
-        let repaired = Dataset::from_points(repaired_points)?;
+        let repaired = repairer
+            .repair_batch_columnar(&ColumnarDataset::from_dataset(&batch))?
+            .to_dataset();
         let e = cd.evaluate(&repaired)?.aggregate();
         println!(
             "  batch {batch_no}: repaired E = {e:.4}, out-of-range rate = {:.4}  <- rising",

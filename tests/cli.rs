@@ -9,6 +9,8 @@ use rand::SeedableRng;
 
 use ot_fair_repair::data::{write_labelled_csv, SimulationSpec};
 
+mod common;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_otrepair")
 }
@@ -249,10 +251,10 @@ fn apply_modes_match_golden_fixture() {
     }
 }
 
-/// `apply` runs once per `--layout` value (plus the default, which is
-/// columnar) and every run writes the identical output file — the
-/// columnar data path is byte-compatible with the row path end to end,
-/// CSV in to CSV out.
+/// `--layout` is retired: every scalar mode runs the columnar path.
+/// Like any unknown option it is ignored, so an old script that still
+/// passes `--layout row` or `--layout columnar` writes the identical
+/// output file.
 #[test]
 fn apply_layouts_produce_identical_output() {
     let dir = tmp_dir("layout");
@@ -294,44 +296,6 @@ fn apply_layouts_produce_identical_output() {
     }
     assert_eq!(outputs[0], outputs[1], "default vs --layout row");
     assert_eq!(outputs[0], outputs[2], "default vs --layout columnar");
-
-    // An unknown layout is a usage error, not a silent default.
-    let bad = Command::new(bin())
-        .args([
-            "apply",
-            "--plan",
-            &plan,
-            "--data",
-            &archive,
-            "--out",
-            "/dev/null",
-            "--layout",
-            "diagonal",
-        ])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--layout"));
-
-    // The columnar path has no Monge/partial variants: asking for both
-    // is rejected up front.
-    let conflicted = Command::new(bin())
-        .args([
-            "apply",
-            "--plan",
-            &plan,
-            "--data",
-            &archive,
-            "--out",
-            "/dev/null",
-            "--layout",
-            "columnar",
-            "--monge",
-        ])
-        .output()
-        .unwrap();
-    assert!(!conflicted.status.success());
-    assert!(String::from_utf8_lossy(&conflicted.stderr).contains("--layout columnar"));
 }
 
 #[test]
@@ -509,6 +473,58 @@ fn helpful_errors_for_bad_inputs() {
         .unwrap();
     assert!(!parse.status.success());
     assert!(String::from_utf8_lossy(&parse.stderr).contains("header"));
+}
+
+/// A structurally malformed plan artifact is a clean usage error: exit
+/// status 1 with an `otrepair: error:` line naming the defect, never a
+/// panic (exit 101) and never a garbage output file.
+#[test]
+fn apply_rejects_malformed_plan_artifacts() {
+    let dir = tmp_dir("badplan");
+    let (research, archive) = write_csvs(&dir, 7);
+    let plan = dir.join("plan.json");
+    assert!(Command::new(bin())
+        .args([
+            "design",
+            "--research",
+            &research,
+            "--out",
+            &plan.to_string_lossy(),
+            "--nq",
+            "20"
+        ])
+        .status()
+        .unwrap()
+        .success());
+    let json = std::fs::read_to_string(&plan).unwrap();
+    for (what, bad) in common::malformed_scalar_plans(&json) {
+        let bad_plan = dir.join("bad-plan.json");
+        let out = dir.join("bad-out.csv");
+        std::fs::write(&bad_plan, bad).unwrap();
+        let _ = std::fs::remove_file(&out);
+        for mode in [&[][..], &["--monge"][..], &["--partial", "0.5"][..]] {
+            let run = Command::new(bin())
+                .args([
+                    "apply",
+                    "--plan",
+                    &bad_plan.to_string_lossy(),
+                    "--data",
+                    &archive,
+                ])
+                .args(["--out", &out.to_string_lossy()])
+                .args(mode)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{what} {mode:?}: {stderr}");
+            assert!(
+                stderr.contains("otrepair: error: plan persistence error"),
+                "{what} {mode:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{what} {mode:?}: {stderr}");
+            assert!(!out.exists(), "{what} {mode:?} wrote an output file");
+        }
+    }
 }
 
 /// Full service round trip through the binaries: boot `otrepaird` on a

@@ -97,8 +97,10 @@ fn streaming_repair_agrees_with_batch_statistics() {
         .unwrap();
 
     let mut streamer = StreamingRepairer::new(plan.clone(), 42);
-    let streamed =
-        Dataset::from_points(streamer.repair_batch(split.archive.points()).unwrap()).unwrap();
+    let streamed = streamer
+        .repair_batch_columnar(&ColumnarDataset::from_dataset(&split.archive))
+        .unwrap()
+        .to_dataset();
 
     let mut rng = StdRng::seed_from_u64(42);
     let batch = plan.repair_dataset(&split.archive, &mut rng).unwrap();

@@ -1,8 +1,8 @@
 //! The parallel-execution determinism contract, end to end through the
-//! facade: `repair_dataset` output is **byte-identical** (compared at
-//! the f64 bit level) across `OTR_THREADS` ∈ {1, 2, 7} and equal to the
-//! sequential path, for both the randomized and the deterministic
-//! mass-split configurations.
+//! facade: batch repair output is **byte-identical** (compared at the
+//! f64 bit level) across `OTR_THREADS` ∈ {1, 2, 7} and equal to the
+//! sequential per-point reference, for both the randomized and the
+//! deterministic mass-split configurations.
 
 use std::sync::Mutex;
 
@@ -43,6 +43,7 @@ fn byte_identical_across_otr_threads_env_for_both_mass_splits() {
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
     for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
         let mut cfg = RepairConfig::with_n_q(40);
         cfg.mass_split = mass_split;
@@ -51,7 +52,10 @@ fn byte_identical_across_otr_threads_env_for_both_mass_splits() {
         for threads in ["1", "2", "7"] {
             std::env::set_var("OTR_THREADS", threads);
             let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-            let par = plan.repair_dataset_par(&archive, 42).unwrap();
+            let par = plan
+                .repair_columnar_par(&columnar, 42)
+                .unwrap()
+                .to_dataset();
             let seq = plan.repair_dataset_seeded(&archive, 42).unwrap();
             let par_bytes = byte_image(&par);
             assert_eq!(
@@ -76,6 +80,7 @@ fn byte_identical_across_otr_threads_env_for_both_mass_splits() {
 #[test]
 fn byte_identical_across_explicit_thread_counts() {
     let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
     for mass_split in [MassSplit::Randomized, MassSplit::Deterministic] {
         let mut reference: Option<Vec<u64>> = None;
         for threads in [1usize, 2, 7] {
@@ -83,7 +88,7 @@ fn byte_identical_across_explicit_thread_counts() {
             cfg.mass_split = mass_split;
             cfg.threads = threads;
             let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-            let out = byte_image(&plan.repair_dataset_par(&archive, 7).unwrap());
+            let out = byte_image(&plan.repair_columnar_par(&columnar, 7).unwrap().to_dataset());
             match &reference {
                 None => reference = Some(out),
                 Some(r) => assert_eq!(&out, r, "({mass_split:?}, threads={threads})"),
@@ -218,12 +223,14 @@ fn columnar_repair_byte_identical_across_otr_threads_env() {
 #[test]
 fn partial_repair_byte_identical_across_thread_counts() {
     let (research, archive) = setup();
+    let columnar = ColumnarDataset::from_dataset(&archive);
     let mut reference: Option<Vec<u64>> = None;
     for threads in [1usize, 2, 7] {
         let mut cfg = RepairConfig::with_n_q(30);
         cfg.threads = threads;
         let plan = RepairPlanner::new(cfg).design(&research).unwrap();
-        let out = byte_image(&plan.repair_dataset_partial_par(&archive, 0.4, 13).unwrap());
+        let out = plan.repair_columnar_partial(&columnar, 0.4, 13).unwrap();
+        let out = byte_image(&out.to_dataset());
         match &reference {
             None => reference = Some(out),
             Some(r) => assert_eq!(&out, r, "threads={threads}"),

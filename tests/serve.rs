@@ -20,8 +20,11 @@ use ot_fair_repair::repair::{
 };
 use ot_fair_repair::serve::protocol::{self, request_type};
 use ot_fair_repair::serve::{
-    Client, ClientError, ErrorCode, PlanKind, ServeConfig, Server, ServerHandle,
+    Client, ClientError, ErrorCode, PlanKind, PlanRegistry, RegistryError, ServeConfig, Server,
+    ServerHandle,
 };
+
+mod common;
 
 /// A running server on an OS-assigned loopback port.
 struct TestServer {
@@ -682,6 +685,46 @@ fn governor_rejects_past_max_conns_and_recovers() {
     }
     assert!(ok, "governor never recovered after a slot freed");
     drop(hold_b);
+}
+
+/// Structurally malformed scalar artifacts are refused at the trust
+/// boundary: `LoadPlan` answers `PlanInvalid` without registering
+/// anything or tripping the panic backstop, and a `--plans` preload
+/// refuses the file.
+#[test]
+fn malformed_scalar_artifacts_are_rejected_not_registered() {
+    let (research, archive) = split_data(20, 350, 200);
+    let json = scalar_plan(&research, 16).to_json().unwrap();
+    let server = TestServer::start(ServeConfig::default());
+    let mut client = server.client();
+    let dir = std::env::temp_dir().join(format!("otr-serve-badplan-{}", std::process::id()));
+    for (what, bad) in common::malformed_scalar_plans(&json) {
+        let err = client
+            .load_plan(PlanKind::Scalar, "bad", 1, &bad)
+            .unwrap_err();
+        assert_eq!(
+            err.server_code(),
+            Some(ErrorCode::PlanInvalid),
+            "{what}: {err}"
+        );
+
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("bad.json"), &bad).unwrap();
+        let preload = PlanRegistry::new(1, None).load_dir(&dir);
+        assert!(
+            matches!(preload, Err(RegistryError::Invalid(_))),
+            "{what}: {preload:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(client.list_plans().unwrap().is_empty());
+    assert_eq!(server.handle.panics_caught(), 0);
+    // The connection survives, and a well-formed artifact still serves.
+    client
+        .load_plan(PlanKind::Scalar, "good", 1, &json)
+        .unwrap();
+    client.repair("good", 1, 1, &archive).unwrap();
+    assert_eq!(server.handle.panics_caught(), 0);
 }
 
 /// A request that panics must cost its own connection an `Internal`
